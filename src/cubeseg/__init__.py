@@ -52,13 +52,12 @@ from .recursion import (
     maximizers,
     verify_corollary,
 )
-from .weights import BinomialTable, binom, h_q, hamming_weight, prefix_hq
+from .weights import binom, h_q, hamming_weight, prefix_hq
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BijectionWitness",
-    "BinomialTable",
     "BudgetExceeded",
     "DEFAULT_ARGMAX_CAP",
     "DEFAULT_BUDGET",

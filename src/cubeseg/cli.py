@@ -59,6 +59,19 @@ def _plain_cell(value) -> str:
     return _cell(value)
 
 
+def _table(header: list, rows: list) -> _Report:
+    """A header-plus-rows report: json row objects, one line per row."""
+    objs = [dict(zip(header, row)) for row in rows]
+    plain = [" ".join(header)]
+    plain += [" ".join(_plain_cell(v) for v in row) for row in rows]
+    return _Report(objs, header, rows, plain)
+
+
+def _pairs(names: list, values: list) -> list:
+    """Plain ``name value`` lines."""
+    return [f"{name} {_plain_cell(value)}" for name, value in zip(names, values)]
+
+
 def _render(report: _Report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.json_obj, indent=2) + "\n"
@@ -164,20 +177,8 @@ def _cmd_fq(ns) -> _Report:
             sorted(table.maximizer_sets[(ns.q, k)]) if ns.q >= 1 and k >= 2 else []
         )
         hyper = sorted(recursion.hypercubic_partitions(k)) if k >= 2 else []
-        rows.append(
-            {
-                "q": ns.q,
-                "k": k,
-                "F": table.values[ns.q][k],
-                "maximizers": maxi,
-                "hypercubic": hyper,
-            }
-        )
-    header = ["q", "k", "F", "maximizers", "hypercubic"]
-    csv_rows = [[r[h] for h in header] for r in rows]
-    plain = ["q k F maximizers hypercubic"]
-    plain += [" ".join(_plain_cell(r[h]) for h in header) for r in rows]
-    return _Report(rows, header, csv_rows, plain)
+        rows.append([ns.q, k, table.values[ns.q][k], maxi, hyper])
+    return _table(["q", "k", "F", "maximizers", "hypercubic"], rows)
 
 
 def _cmd_count(ns) -> _Report:
@@ -233,15 +234,7 @@ def _cmd_oracle(ns) -> _Report:
         result.matches_formula, result.total_subsets_scanned,
     ]
     csv_rows = [scalars + [members] for members in argmax] or [scalars + [[]]]
-    plain = [
-        f"n {result.n}",
-        f"k {result.k}",
-        f"q {result.q}",
-        f"max_count {result.max_count}",
-        f"formula_value {formula}",
-        f"matches_formula {_cell(result.matches_formula)}",
-        f"scanned {result.total_subsets_scanned}",
-    ]
+    plain = _pairs(header[:-1], scalars)
     plain += [f"argmax {_plain_cell(members)}" for members in argmax]
     return _Report(obj, header, csv_rows, plain)
 
@@ -290,30 +283,15 @@ def _cmd_bijection(ns) -> _Report:
 
 def _cmd_hypercubic(ns) -> _Report:
     parts = sorted(recursion.hypercubic_partitions(ns.k))
-    obj = {"k": ns.k, "hypercubic": parts}
-    return _Report(
-        obj,
-        ["k", "hypercubic"],
-        [[ns.k, parts]],
-        [f"k {ns.k}", f"hypercubic {_plain_cell(parts)}"],
-    )
+    header = ["k", "hypercubic"]
+    values = [ns.k, parts]
+    return _Report(dict(zip(header, values)), header, [values], _pairs(header, values))
 
 
 def _cmd_counterexample(ns) -> _Report:
     records = recursion.find_onlyif_counterexamples(ns.qmax, ns.kmax)
-    rows = [
-        {
-            "q": rec.q,
-            "k": rec.k,
-            "non_hypercubic_maximizers": list(rec.non_hypercubic_maximizers),
-        }
-        for rec in records
-    ]
-    header = ["q", "k", "non_hypercubic_maximizers"]
-    csv_rows = [[r[h] for h in header] for r in rows]
-    plain = ["q k non_hypercubic_maximizers"]
-    plain += [" ".join(_plain_cell(r[h]) for h in header) for r in rows]
-    return _Report(rows, header, csv_rows, plain)
+    rows = [[rec.q, rec.k, list(rec.non_hypercubic_maximizers)] for rec in records]
+    return _table(["q", "k", "non_hypercubic_maximizers"], rows)
 
 
 _HANDLERS = {

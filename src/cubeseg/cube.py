@@ -378,7 +378,7 @@ def parse_vertex_set(lines: Iterable[str], dim: int, fmt: str = "decimal") -> Ve
         if not line or line.startswith("#"):
             continue
         if fmt == "decimal":
-            if not line.isdigit():
+            if not (line.isascii() and line.isdigit()):
                 raise VertexFormatError(
                     f"line {lineno}: {line!r} is not a non-negative decimal integer"
                 )
@@ -402,7 +402,10 @@ def parse_vertex_set(lines: Iterable[str], dim: int, fmt: str = "decimal") -> Ve
 def load_vertex_set(path, dim: int, fmt: str = "decimal") -> VertexSet:
     """Read a vertex file (UTF-8) into a VertexSet."""
     with open(path, encoding="utf-8") as fh:
-        return parse_vertex_set(fh, dim, fmt)
+        try:
+            return parse_vertex_set(fh, dim, fmt)
+        except UnicodeDecodeError as exc:
+            raise VertexFormatError(f"{path}: not valid UTF-8 ({exc})") from exc
 
 
 def render_vertex_lines(S: VertexSet, fmt: str = "decimal") -> list[str]:

@@ -1,14 +1,15 @@
 """Hamming weights, exact binomial coefficients, and their prefix sums.
 
-Everything here is integer-exact: binomials come from a Pascal-rule table
-(no floating point anywhere), and Python's arbitrary-precision integers
-make silent overflow impossible.
+Everything here is integer-exact: binomials come from ``math.comb`` (no
+floating point anywhere), and Python's arbitrary-precision integers make
+silent overflow impossible.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 __all__ = [
-    "BinomialTable",
     "hamming_weight",
     "binom",
     "h_q",
@@ -23,62 +24,11 @@ def hamming_weight(i: int) -> int:
     return i.bit_count()
 
 
-class BinomialTable:
-    """Immutable Pascal-rule table of exact binomial coefficients.
-
-    ``values[m][q]`` holds C(m, q) for 0 <= m <= max_m, 0 <= q <= max_q,
-    with C(m, q) = 0 whenever q > m. Safe for unrestricted concurrent
-    reads once constructed.
-    """
-
-    __slots__ = ("max_m", "max_q", "values")
-
-    def __init__(self, max_m: int, max_q: int):
-        if max_m < 0 or max_q < 0:
-            raise ValueError("table bounds must be non-negative")
-        values: list[list[int]] = []
-        for m in range(max_m + 1):
-            row = [0] * (max_q + 1)
-            row[0] = 1
-            if m:
-                prev = values[m - 1]
-                for q in range(1, min(m, max_q) + 1):
-                    row[q] = prev[q - 1] + prev[q]
-            values.append(row)
-        self.max_m = max_m
-        self.max_q = max_q
-        self.values = values
-
-    def value(self, m: int, q: int) -> int:
-        """C(m, q), with 0 for q < 0 or q > m."""
-        if m < 0 or m > self.max_m:
-            raise ValueError(f"m={m} outside table range [0, {self.max_m}]")
-        if q < 0 or q > m:
-            return 0
-        if q > self.max_q:
-            raise ValueError(f"q={q} outside table range [0, {self.max_q}]")
-        return self.values[m][q]
-
-
-# Shared table backing binom(); grown on demand and swapped atomically so
-# concurrent readers only ever see a fully built table.
-_shared_table: BinomialTable | None = None
-
-
 def binom(m: int, q: int) -> int:
     """Exact C(m, q); 0 when q < 0 or q > m."""
     if m < 0:
         raise ValueError(f"binom requires m >= 0, got {m}")
-    if q < 0 or q > m:
-        return 0
-    global _shared_table
-    table = _shared_table
-    if table is None or m > table.max_m or q > table.max_q:
-        new_m = max(m, 64, 2 * (table.max_m if table else 0))
-        new_q = max(q, 32, 2 * (table.max_q if table else 0))
-        table = BinomialTable(new_m, min(new_q, new_m))
-        _shared_table = table
-    return table.values[m][q]
+    return comb(m, q) if q >= 0 else 0
 
 
 def h_q(i: int, q: int) -> int:

@@ -81,6 +81,25 @@ class TestCount:
         )
         assert rc == 2 and out == "" and "outside" in err
 
+    @pytest.mark.parametrize(
+        "line", ["\u00b2", "\u0661\u0662"], ids=["superscript-two", "arabic-indic-12"]
+    )
+    def test_non_ascii_digits_are_input_error(self, capsys, tmp_path, line):
+        path = tmp_path / "digits.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        rc, out, err = invoke(
+            capsys, ["count", "--dim", "4", "--q", "0", "--input", str(path)]
+        )
+        assert rc == 2 and out == "" and "decimal" in err
+
+    def test_invalid_utf8_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff\n")
+        rc, out, err = invoke(
+            capsys, ["count", "--dim", "4", "--q", "0", "--input", str(path)]
+        )
+        assert rc == 2 and out == "" and "UTF-8" in err
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         rc, out, err = invoke(
             capsys,
@@ -206,6 +225,11 @@ class TestHypercubicCommand:
         rc, out, _ = invoke(capsys, ["hypercubic", "--k", "6"])
         assert rc == 0
         assert out == "k 6\nhypercubic 2|3\n"
+
+    def test_large_k(self, capsys):
+        rc, out, _ = invoke(capsys, ["hypercubic", "--k", "1000000000000"])
+        assert rc == 0
+        assert out.startswith("k 1000000000000\nhypercubic ")
 
     def test_bad_k(self, capsys):
         rc, out, err = invoke(capsys, ["hypercubic", "--k", "1"])

@@ -297,6 +297,12 @@ class TestTextFormat:
             parse_vertex_set(["2.5"], 3)
         with pytest.raises(VertexFormatError):
             parse_vertex_set(["-1"], 3)
+        # str.isdigit() accepts these; int() rejects the first and reads
+        # the second (Arabic-Indic digits) as 12
+        with pytest.raises(VertexFormatError):
+            parse_vertex_set(["\u00b2"], 3)
+        with pytest.raises(VertexFormatError):
+            parse_vertex_set(["\u0661\u0662"], 4)
 
     def test_wrong_length_binary(self):
         with pytest.raises(VertexFormatError):

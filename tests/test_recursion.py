@@ -95,6 +95,10 @@ class TestHypercubicPartitions:
     def test_matches_direct_counting(self, k):
         assert hypercubic_partitions(k) == oracles.hypercubic_sizes(k)
 
+    def test_large_k(self):
+        # every bit below the top one splits 2^40 + 1 into 2^39 and 2^39 + 1
+        assert hypercubic_partitions(2**40 + 1) == {1, 2**39}
+
     @pytest.mark.parametrize("k", [2, 3, 9, 50, 101, 256])
     def test_half_split_always_present(self, k):
         # the least significant bit splits {0..k-1} into halves

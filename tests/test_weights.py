@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cubeseg.weights import BinomialTable, binom, h_q, hamming_weight, prefix_hq
+from cubeseg.weights import binom, h_q, hamming_weight, prefix_hq
 
 import oracles
 
@@ -57,32 +57,6 @@ class TestBinom:
     def test_matches_math_comb(self, m, q):
         expected = math.comb(m, q) if 0 <= q <= m else 0
         assert binom(m, q) == expected
-
-
-class TestBinomialTable:
-    def test_invariants(self):
-        table = BinomialTable(12, 8)
-        for m in range(13):
-            assert table.values[m][0] == 1
-            for q in range(9):
-                if q > m:
-                    assert table.values[m][q] == 0
-                elif 1 <= q <= m:
-                    assert (
-                        table.values[m][q]
-                        == table.values[m - 1][q - 1] + table.values[m - 1][q]
-                    )
-                assert table.values[m][q] == math.comb(m, q)
-
-    def test_value_bounds(self):
-        table = BinomialTable(5, 3)
-        assert table.value(5, 3) == 10
-        assert table.value(2, 3) == 0  # q > m inside table
-        assert table.value(4, -2) == 0
-        with pytest.raises(ValueError):
-            table.value(6, 1)
-        with pytest.raises(ValueError):
-            table.value(5, 4)  # q <= m but beyond stored columns
 
 
 class TestHq:
