@@ -73,11 +73,14 @@ def find_special_bijection(I: Interval, J: Interval) -> Optional[BijectionWitnes
 
     Strictness of the weight inequalities is derived from the interval
     geometry (required exactly when the intervals do not overlap), never
-    chosen by the caller. The witness is built by bipartite matching with
-    augmenting paths; sources are processed hardest-constraint-first and
-    ties among admissible targets go to the smallest target, which makes
-    the witness deterministic. Returns None when no special bijection
-    exists -- possible only when I.lo > 0.
+    chosen by the caller. Both intervals are sorted by Hamming weight,
+    ties in increasing order, and the k-th source is paired with the k-th
+    target. A source of weight w may use exactly the targets of weight
+    >= w (+1 when strict), so the allowed target sets are nested and Hall's
+    condition reduces to one count per threshold t: no more sources need
+    weight >= t than there are targets of weight >= t. That holds for
+    every t exactly when every rank-paired couple fits. Returns None
+    otherwise -- possible only when I.lo > 0.
     """
     if I.size != J.size:
         raise ValueError(f"interval sizes differ: {I.size} vs {J.size}")
@@ -85,47 +88,12 @@ def find_special_bijection(I: Interval, J: Interval) -> Optional[BijectionWitnes
         raise ValueError(f"target must start above source: j0={J.lo} <= i0={I.lo}")
     strict = I.hi < J.lo
 
-    # Admissible targets for a source of weight w are exactly the targets
-    # of weight >= w (+1 when strict): thresholds order the sources.
     need = 1 if strict else 0
-    thresholds = {i: hamming_weight(i) + need for i in I}
-    max_thr = max(thresholds.values())
-    admissible: list[tuple[int, ...]] = []
-    for thr in range(max_thr + 1):
-        admissible.append(tuple(j for j in J if hamming_weight(j) >= thr))
-
-    matched_target: dict[int, int] = {}
-    matched_source: dict[int, int] = {}
-
-    def augment(start: int) -> bool:
-        # Iterative alternating-path search; frame = [source, iterator, target].
-        frames: list[list] = [[start, iter(admissible[thresholds[start]]), None]]
-        visited: set[int] = set()
-        while frames:
-            frame = frames[-1]
-            pushed = False
-            for j in frame[1]:
-                if j in visited:
-                    continue
-                visited.add(j)
-                frame[2] = j
-                owner = matched_target.get(j)
-                if owner is None:
-                    for src, _, tgt in frames:
-                        matched_target[tgt] = src
-                        matched_source[src] = tgt
-                    return True
-                frames.append([owner, iter(admissible[thresholds[owner]]), None])
-                pushed = True
-                break
-            if not pushed:
-                frames.pop()
-        return False
-
-    for i in sorted(I, key=lambda i: (-thresholds[i], i)):
-        if not augment(i):
-            return None
-    pairs = tuple((i, matched_source[i]) for i in I)
+    # Stable sorts of increasing ranges: ties stay in increasing order.
+    ranked = zip(sorted(I, key=hamming_weight), sorted(J, key=hamming_weight))
+    pairs = tuple(sorted(ranked))
+    if any(hamming_weight(p) < hamming_weight(i) + need for i, p in pairs):
+        return None
     return BijectionWitness(source=I, target=J, map=pairs, strict_required=strict)
 
 

@@ -243,42 +243,27 @@ def _cmd_bijection(ns) -> _Report:
     source = bij.Interval(ns.src_lo, ns.src_hi)
     target = bij.Interval(ns.dst_lo, ns.dst_hi)
     witness = bij.find_special_bijection(source, target)
+    intervals = {
+        "source": {"lo": source.lo, "hi": source.hi},
+        "target": {"lo": target.lo, "hi": target.hi},
+    }
+    header = ["source_lo", "source_hi", "target_lo", "target_hi"]
+    bounds = [source.lo, source.hi, target.lo, target.hi]
+    plain = [f"source {source.lo} {source.hi}", f"target {target.lo} {target.hi}"]
     if witness is None:
-        obj = {
-            "found": False,
-            "source": {"lo": source.lo, "hi": source.hi},
-            "target": {"lo": target.lo, "hi": target.hi},
-        }
-        header = ["source_lo", "source_hi", "target_lo", "target_hi", "found"]
-        rows = [[source.lo, source.hi, target.lo, target.hi, False]]
-        plain = [
-            f"source {source.lo} {source.hi}",
-            f"target {target.lo} {target.hi}",
-            "found false",
-        ]
-        return _Report(obj, header, rows, plain)
+        obj = {"found": False, **intervals}
+        plain.append("found false")
+        return _Report(obj, header + ["found"], [bounds + [False]], plain)
+    strict = witness.strict_required
     obj = {
-        "source": {"lo": witness.source.lo, "hi": witness.source.hi},
-        "target": {"lo": witness.target.lo, "hi": witness.target.hi},
-        "strict_required": witness.strict_required,
+        **intervals,
+        "strict_required": strict,
         "map": [[i, p] for i, p in witness.map],
     }
-    header = [
-        "source_lo", "source_hi", "target_lo", "target_hi",
-        "strict_required", "i", "p",
-    ]
-    rows = [
-        [witness.source.lo, witness.source.hi, witness.target.lo,
-         witness.target.hi, witness.strict_required, i, p]
-        for i, p in witness.map
-    ]
-    plain = [
-        f"source {witness.source.lo} {witness.source.hi}",
-        f"target {witness.target.lo} {witness.target.hi}",
-        f"strict_required {_cell(witness.strict_required)}",
-    ]
+    rows = [bounds + [strict, i, p] for i, p in witness.map]
+    plain.append(f"strict_required {_cell(strict)}")
     plain += [f"{i} {p}" for i, p in witness.map]
-    return _Report(obj, header, rows, plain)
+    return _Report(obj, header + ["strict_required", "i", "p"], rows, plain)
 
 
 def _cmd_hypercubic(ns) -> _Report:

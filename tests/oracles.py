@@ -6,7 +6,7 @@ subcube generation, recursive-descent recursion evaluation) so that an
 agreement between the two is meaningful.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from functools import lru_cache
 from math import comb
 
@@ -105,3 +105,17 @@ def permute_coordinates(v: int, perm, n: int) -> int:
         if (v >> r) & 1:
             out |= 1 << perm[r]
     return out
+
+
+def special_bijection_exists(ilo: int, ihi: int, jlo: int, jhi: int) -> bool:
+    """Whether some bijection [ilo:ihi] -> [jlo:jhi] never lowers the weight.
+
+    Tries every permutation of the targets; the weight must rise strictly
+    when the intervals are disjoint.
+    """
+    strict = ihi < jlo
+    sources = range(ilo, ihi + 1)
+    return any(
+        all(popcount(i) + strict <= popcount(p) for i, p in zip(sources, targets))
+        for targets in permutations(range(jlo, jhi + 1))
+    )

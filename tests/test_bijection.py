@@ -59,7 +59,7 @@ class TestFindSpecialBijection:
         assert w is not None
         assert not w.strict_required
         assert verify_special(w)
-        assert w.map == ((0, 1), (1, 3), (2, 2))
+        assert w.map == ((0, 1), (1, 2), (2, 3))
 
     @pytest.mark.parametrize("j", [1, 5, 64])
     def test_singleton_from_zero(self, j):
@@ -100,6 +100,16 @@ class TestFindSpecialBijection:
         assert find_special_bijection(Interval(2, 3), Interval(4, 5)) is None
         # weights (1,1) against (2,1): 4 cannot strictly dominate either source
         assert find_special_bijection(Interval(1, 2), Interval(3, 4)) is None
+
+    def test_existence_matches_brute_force_away_from_zero(self):
+        for lo in range(1, 17):
+            for s in range(1, 7):
+                for j0 in range(lo + 1, lo + 33):
+                    I, J = Interval(lo, lo + s - 1), Interval(j0, j0 + s - 1)
+                    w = find_special_bijection(I, J)
+                    exists = oracles.special_bijection_exists(I.lo, I.hi, J.lo, J.hi)
+                    assert (w is not None) == exists, (I, J)
+                    assert w is None or verify_special(w), (I, J)
 
 
 class TestVerifySpecial:
