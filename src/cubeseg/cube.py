@@ -10,9 +10,10 @@ Two interchangeable counting kernels are provided:
 
 * ``count_subcubes_naive`` enumerates every candidate subcube and tests
   its vertices one by one -- the ground-truth path.
-* ``count_subcubes_bitparallel`` folds the indicator with shifted copies
-  of itself, one shift per free coordinate, so that a single surviving
-  bit certifies a whole subcube.
+* ``count_subcubes_bitparallel`` walks the free-coordinate sets depth
+  first, folding the indicator once per added coordinate and pruning a
+  branch as soon as its fold is empty; a bit surviving q folds certifies
+  a whole subcube.
 """
 
 from __future__ import annotations
@@ -243,20 +244,18 @@ def _check_q(q: int, dim: int) -> None:
 
 
 def _free_coordinate_tables(n: int, q: int):
-    """Per free-coordinate-set data: (free mask, fixed mask, vertex offsets).
+    """Per free-coordinate-set data: (fixed mask, vertex offsets).
 
     Free sets are produced in lexicographic order of their coordinate
-    indices so that enumeration order is deterministic.
+    indices so that enumeration order is deterministic. The last offset
+    has every free bit set.
     """
     full = (1 << n) - 1
     for free in combinations(range(n), q):
-        tmask = 0
         offsets = [0]
         for t in free:
-            bit = 1 << t
-            tmask |= bit
-            offsets += [o | bit for o in offsets]
-        yield tmask, full ^ tmask, tuple(offsets)
+            offsets += [o | 1 << t for o in offsets]
+        yield full ^ offsets[-1], tuple(offsets)
 
 
 @lru_cache(maxsize=None)
@@ -265,8 +264,9 @@ def _free_coordinate_tables_cached(n: int, q: int) -> tuple:
 
 
 def _free_tables(n: int, q: int):
-    # Materializing the tables pays off for the oracle's repeated calls,
-    # but would exhaust memory at large n: fall back to a generator there.
+    # The naive kernel is the only user. Materializing the tables pays off
+    # for the oracle's repeated calls, but would exhaust memory at large n:
+    # fall back to a generator there.
     if comb(n, q) << q <= (1 << 20):
         return _free_coordinate_tables_cached(n, q)
     return _free_coordinate_tables(n, q)
@@ -281,7 +281,7 @@ def count_subcubes_naive(S: VertexSet, q: int) -> int:
     _check_q(q, S.dim)
     bits = S._bits
     count = 0
-    for _, qmask, offsets in _free_tables(S.dim, q):
+    for qmask, offsets in _free_tables(S.dim, q):
         # Bases are the submasks of the fixed-coordinate mask, visited in
         # increasing order (assignments in increasing integer order).
         base = 0
@@ -294,36 +294,31 @@ def count_subcubes_naive(S: VertexSet, q: int) -> int:
     return count
 
 
-@lru_cache(maxsize=512)
-def _free_zero_mask(n: int, tmask: int) -> int:
-    # Indicator of positions whose bits inside tmask are all zero.
-    mask = 1
-    for r in range(n):
-        if not (tmask >> r) & 1:
-            mask |= mask << (1 << r)
-    return mask
-
-
 def count_subcubes_bitparallel(S: VertexSet, q: int) -> int:
     """Count q-dimensional subcubes contained in S with bit-parallel folds.
 
-    For each free-coordinate set T, the indicator A is folded as
-    A &= A >> 2^t for every t in T; afterwards a set bit at a position
-    whose T-bits are all zero certifies that the whole subcube anchored
-    there lies in S. Agrees exactly with ``count_subcubes_naive``.
+    A depth-first walk adds free coordinates in increasing order. Adding
+    t folds the parent's indicator A into A & (A >> 2^t), kept at the
+    positions whose bit t is 0; a bit set after q folds marks the lowest
+    vertex of a q-subcube inside S. An empty fold ends its branch.
+    Agrees exactly with ``count_subcubes_naive``.
     """
     _check_q(q, S.dim)
     n = S.dim
-    count = 0
-    for tmask, _, _ in _free_tables(n, q):
-        folded = S._bits
-        rest = tmask
-        while rest:
-            low = rest & -rest
-            folded &= folded >> low  # low == 2^t for free coordinate t
-            rest ^= low
-        count += (folded & _free_zero_mask(n, tmask)).bit_count()
-    return count
+    full = (1 << (1 << n)) - 1
+    zero = [full ^ _coord_one_mask(n, t) for t in range(n)]
+
+    def walk(folded: int, start: int, depth: int) -> int:
+        if depth == q:
+            return folded.bit_count()
+        count = 0
+        for t in range(start, n - q + depth + 1):
+            child = folded & (folded >> (1 << t)) & zero[t]
+            if child:
+                count += walk(child, t + 1, depth + 1)
+        return count
+
+    return walk(S._bits, 0, 0)
 
 
 def three_term_report(S: VertexSet, q: int, r: int) -> DecompositionReport:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .cube import VertexSet, count_subcubes_naive
+from .cube import VertexSet, _check_dim, count_subcubes_naive
 from .weights import prefix_hq
 
 __all__ = [
@@ -72,8 +72,7 @@ def brute_force_mq(
     deterministic. Raises BudgetExceeded before any work if C(2^n, k)
     exceeds the budget.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_dim(n)  # before 1 << n, which a huge n would make unaffordable
     size = 1 << n
     if k < 1 or k > size:
         raise ValueError(f"k must be in [1, 2^{n}], got {k}")

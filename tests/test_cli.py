@@ -189,6 +189,12 @@ class TestOracleCommand:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("dim", ["64", "20000"])
+    def test_dim_beyond_cube_is_usage_error(self, capsys, dim):
+        rc, out, err = invoke(capsys, ["oracle", "--dim", dim, "--k", "1", "--q", "0"])
+        assert rc == 1 and out == ""
+        assert "dim" in err
+
     def test_invalid_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("CUBESEG_BUDGET", "plenty")
         rc, out, err = invoke(capsys, ["oracle", "--dim", "2", "--k", "2", "--q", "1"])

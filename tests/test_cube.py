@@ -166,7 +166,7 @@ class TestCountingKernels:
         assert count_subcubes_naive(S, 1) == 7
         assert count_subcubes_bitparallel(S, 1) == 7
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_full_cube_closed_form(self, n):
         full = VertexSet.from_bits(n, (1 << (1 << n)) - 1)
         for q in range(n + 1):
@@ -174,6 +174,47 @@ class TestCountingKernels:
             assert count_subcubes_bitparallel(full, q) == expected
             if n <= 6:
                 assert count_subcubes_naive(full, q) == expected
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    def test_large_initial_segments_match_weight_histogram(self, n):
+        # m_q of {0..k-1} is the sum over i < k of C(popcount(i), q).
+        rng = random.Random(n)
+        for k in (rng.randint(1, 2**n) for _ in range(3)):
+            weights = [0] * (n + 1)
+            for i in range(k):
+                weights[oracles.popcount(i)] += 1
+            S = initial_segment(k, n)
+            for q in range(n + 1):
+                expected = sum(c * binom(w, q) for w, c in enumerate(weights))
+                assert count_subcubes_bitparallel(S, q) == expected, (k, q)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_products_match_factor_counts(self, seed):
+        # A q-subcube of A x B splits into an a-subcube of A and a
+        # (q - a)-subcube of B, so m_q(A x B) = sum_a m_a(A) m_{q-a}(B).
+        rng = random.Random(seed)
+        half = 8
+        A, B = (
+            VertexSet(half, [v for v in range(2**half) if rng.random() < density])
+            for density in (rng.uniform(0.5, 0.95), rng.uniform(0.5, 0.95))
+        )
+        product = 0
+        for y in B:
+            product |= A.bits << (y << half)
+        S = VertexSet.from_bits(2 * half, product)
+        mA = [count_subcubes_naive(A, a) for a in range(half + 1)]
+        mB = [count_subcubes_naive(B, b) for b in range(half + 1)]
+        for q in range(2 * half + 1):
+            expected = sum(
+                mA[a] * mB[q - a] for a in range(max(0, q - half), min(q, half) + 1)
+            )
+            assert count_subcubes_bitparallel(S, q) == expected, q
+
+    def test_bitparallel_fills_no_table_cache(self):
+        cube._free_coordinate_tables_cached.cache_clear()
+        S = VertexSet(12, range(0, 2**12, 3))
+        count_subcubes_bitparallel(S, 6)
+        assert cube._free_coordinate_tables_cached.cache_info().currsize == 0
 
     def test_invalid_q(self):
         S = VertexSet(3, [0])

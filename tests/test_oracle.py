@@ -83,6 +83,13 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_mq(2, 2, 1, budget=0)
 
+    @pytest.mark.parametrize("n", [21, 64, 20000])
+    def test_dimension_bounded_before_work(self, n):
+        # No set of a cube beyond MAX_N can be built, so this is an input
+        # error and not a budget overrun.
+        with pytest.raises(ValueError, match="dim"):
+            brute_force_mq(n, 2, 0)
+
 
 class TestIsOptimal:
     def test_initial_segments_are_optimal(self):
