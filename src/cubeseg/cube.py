@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -258,20 +257,6 @@ def _free_coordinate_tables(n: int, q: int):
         yield full ^ offsets[-1], tuple(offsets)
 
 
-@lru_cache(maxsize=None)
-def _free_coordinate_tables_cached(n: int, q: int) -> tuple:
-    return tuple(_free_coordinate_tables(n, q))
-
-
-def _free_tables(n: int, q: int):
-    # The naive kernel is the only user. Materializing the tables pays off
-    # for the oracle's repeated calls, but would exhaust memory at large n:
-    # fall back to a generator there.
-    if comb(n, q) << q <= (1 << 20):
-        return _free_coordinate_tables_cached(n, q)
-    return _free_coordinate_tables(n, q)
-
-
 def count_subcubes_naive(S: VertexSet, q: int) -> int:
     """Count q-dimensional subcubes contained in S by direct enumeration.
 
@@ -281,7 +266,7 @@ def count_subcubes_naive(S: VertexSet, q: int) -> int:
     _check_q(q, S.dim)
     bits = S._bits
     count = 0
-    for qmask, offsets in _free_tables(S.dim, q):
+    for qmask, offsets in _free_coordinate_tables(S.dim, q):
         # Bases are the submasks of the fixed-coordinate mask, visited in
         # increasing order (assignments in increasing integer order).
         base = 0

@@ -1,15 +1,16 @@
 """Ground-truth maxima by exhaustive search over all k-subsets.
 
 The oracle enumerates every k-element vertex subset of the n-cube in
-lexicographic order, counts subcubes with the naive kernel (kept
-deliberately independent of the bit-parallel one), and compares the
-maximum against the prefix-sum formula.
+lexicographic order and compares the maximum against the prefix-sum
+formula. It shares nothing with the two counting kernels: subsets are
+walked as one chain of prefixes, and pushing a vertex v adds the number
+of q-subcubes inside the prefix whose highest vertex is v, which is the
+per-vertex reading of the paper's sum over i < k of C(h(i), q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .cube import VertexSet, _check_dim, count_subcubes_naive
@@ -86,21 +87,40 @@ def brute_force_mq(
     if required > budget:
         raise BudgetExceeded(required, budget)
 
+    # One walk over the prefixes of the lexicographic enumeration: combo
+    # is the current subset, bits its indicator, counts[d] the m_q of its
+    # first d members. Advancing at position i keeps counts[..i] and
+    # pushes the new suffix.
+    combo = list(range(k))
+    top = size - k  # position i ends its run at value i + top
+    counts = [0] * (k + 1)
+    bits = 0
     best = -1
     examples: list[VertexSet] = []
     scanned = 0
-    for combo in combinations(range(size), k):
-        scanned += 1
-        bits = 0
-        for v in combo:
+    i = 0
+    while True:
+        for d in range(i, k):
+            v = combo[d]
             bits |= 1 << v
-        S = VertexSet.from_bits(n, bits)
-        count = count_subcubes_naive(S, q)
+            counts[d + 1] = counts[d] + _topped_by(bits, v, q)
+        scanned += 1
+        count = counts[k]
         if count > best:
             best = count
-            examples = [S] if argmax_cap else []
+            examples = [VertexSet.from_bits(n, bits)] if argmax_cap else []
         elif count == best and len(examples) < argmax_cap:
-            examples.append(S)
+            examples.append(VertexSet.from_bits(n, bits))
+        i = k - 1
+        while i >= 0 and combo[i] == i + top:
+            i -= 1
+        if i < 0:
+            break
+        v = combo[i]
+        bits &= (1 << v) - 1  # members i..k-1 are the ones >= combo[i]
+        for d in range(i, k):
+            v += 1
+            combo[d] = v
     formula = prefix_hq(k, q)
     return OracleResult(
         n=n,
@@ -111,6 +131,33 @@ def brute_force_mq(
         total_subsets_scanned=scanned,
         matches_formula=(best == formula),
     )
+
+
+def _topped_by(bits: int, v: int, q: int) -> int:
+    """Number of q-subcubes inside ``bits`` whose highest vertex is v.
+
+    Such a subcube frees q of v's one-bits and holds v with any of them
+    cleared. Free bits are added in increasing order; a branch ends as
+    soon as its cube is not inside ``bits``, since every larger cube of
+    the branch contains it.
+    """
+    return _grow(bits, 1, v, v, q)
+
+
+def _grow(bits: int, cube: int, low: int, rest: int, q: int) -> int:
+    # cube is the current subcube's indicator shifted down to its lowest
+    # vertex low; rest holds the one-bits of v that may still be freed.
+    if q == 0:
+        return 1
+    count = 0
+    while rest.bit_count() >= q:
+        step = rest & -rest
+        rest ^= step
+        low_child = low - step
+        child = cube | cube << step
+        if (bits >> low_child) & child == child:
+            count += _grow(bits, child, low_child, rest, q - 1)
+    return count
 
 
 def is_optimal_set(S: VertexSet, q: int) -> bool:

@@ -210,12 +210,6 @@ class TestCountingKernels:
             )
             assert count_subcubes_bitparallel(S, q) == expected, q
 
-    def test_bitparallel_fills_no_table_cache(self):
-        cube._free_coordinate_tables_cached.cache_clear()
-        S = VertexSet(12, range(0, 2**12, 3))
-        count_subcubes_bitparallel(S, 6)
-        assert cube._free_coordinate_tables_cached.cache_info().currsize == 0
-
     def test_invalid_q(self):
         S = VertexSet(3, [0])
         with pytest.raises(ValueError):

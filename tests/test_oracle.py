@@ -1,5 +1,7 @@
 """Tests for the exhaustive k-subset oracle."""
 
+from itertools import combinations
+
 import pytest
 
 from cubeseg.cube import VertexSet, initial_segment
@@ -9,6 +11,8 @@ from cubeseg.oracle import (
     is_optimal_set,
 )
 from cubeseg.weights import binom
+
+import oracles
 
 
 class TestBruteForce:
@@ -23,12 +27,41 @@ class TestBruteForce:
         assert res.max_count == 1
         assert res.matches_formula
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 10])
     def test_full_cube_closed_form(self, n):
         for q in range(n + 1):
             res = brute_force_mq(n, 2**n, q)
             assert res.max_count == binom(n, q) * 2 ** (n - q)
             assert res.total_subsets_scanned == 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_all_but_one_vertex_closed_form(self, n):
+        # Each missing vertex takes away the C(n, q) q-subcubes through it;
+        # the suffix after it is pushed again for every one of the 2^n sets.
+        for q in range(n + 1):
+            res = brute_force_mq(n, 2**n - 1, q)
+            assert res.max_count == binom(n, q) * (2 ** (n - q) - 1)
+            assert res.total_subsets_scanned == 2**n
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, k) for n in range(1, 4) for k in range(1, 2**n + 1)]
+        + [(4, k) for k in (2, 3, 14, 15)],
+    )
+    def test_matches_independent_reference(self, n, k):
+        # Whole argmax list, in order, against itertools and an explicit
+        # subcube generator.
+        for q in range(n + 1):
+            counts = {
+                combo: oracles.subcube_count(combo, n, q)
+                for combo in combinations(range(2**n), k)
+            }
+            best = max(counts.values())
+            res = brute_force_mq(n, k, q, argmax_cap=len(counts) + 1)
+            assert res.max_count == best
+            assert [S.members() for S in res.argmax_examples] == [
+                combo for combo, count in counts.items() if count == best
+            ]
 
     def test_too_small_for_any_subcube(self):
         res = brute_force_mq(3, 3, 2)
