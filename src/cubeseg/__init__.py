@@ -21,7 +21,6 @@ from .bijection import (
 from .cube import (
     DecompositionReport,
     DegenerateSplit,
-    Subcube,
     VertexFormatError,
     VertexSet,
     count_subcubes_bitparallel,
@@ -32,7 +31,6 @@ from .cube import (
     render_vertex_lines,
     save_vertex_set,
     split,
-    subcube_vertices,
     three_term_report,
 )
 from .oracle import (
@@ -52,7 +50,7 @@ from .recursion import (
     maximizers,
     verify_corollary,
 )
-from .weights import binom, h_q, hamming_weight, prefix_hq
+from .weights import binom, h_q, hamming_weight, prefix_hq, weight_histogram
 
 __version__ = "0.1.0"
 
@@ -69,7 +67,6 @@ __all__ = [
     "OracleResult",
     "RecursionTable",
     "ShiftedHqCheck",
-    "Subcube",
     "VertexFormatError",
     "VertexSet",
     "binom",
@@ -94,8 +91,8 @@ __all__ = [
     "render_vertex_lines",
     "save_vertex_set",
     "split",
-    "subcube_vertices",
     "three_term_report",
     "verify_corollary",
     "verify_special",
+    "weight_histogram",
 ]

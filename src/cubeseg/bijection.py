@@ -10,9 +10,10 @@ turn the resulting weighted-sum inequalities into verifiable records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
 from typing import Optional, Sequence
 
-from .weights import h_q, hamming_weight
+from .weights import hamming_weight, prefix_hq, weight_histogram
 
 __all__ = [
     "Interval",
@@ -68,33 +69,48 @@ def intervals_overlap(I: Interval, J: Interval) -> bool:
     return max(I.lo, J.lo) <= min(I.hi, J.hi)
 
 
+def _weights_in(I: Interval) -> list[int]:
+    """``hist[w]`` = number of i in I with Hamming weight w."""
+    upper, lower = weight_histogram(I.hi + 1), weight_histogram(I.lo)
+    return [a - b for a, b in zip_longest(upper, lower, fillvalue=0)]
+
+
+def _hall_holds(I: Interval, J: Interval, need: int) -> bool:
+    # Hall per threshold t: #{i in I : h(i) + need >= t} <= #{p in J : h(p) >= t}.
+    # The sizes are equal, so equivalently, below every t the shifted
+    # sources are at least as many as the targets.
+    shifted = [0] * need + _weights_in(I)
+    pairs = zip_longest(shifted, _weights_in(J), fillvalue=0)
+    return all(spare >= 0 for spare in accumulate(a - b for a, b in pairs))
+
+
 def find_special_bijection(I: Interval, J: Interval) -> Optional[BijectionWitness]:
     """Search for a special bijection from I onto J.
 
     Strictness of the weight inequalities is derived from the interval
     geometry (required exactly when the intervals do not overlap), never
-    chosen by the caller. Both intervals are sorted by Hamming weight,
-    ties in increasing order, and the k-th source is paired with the k-th
-    target. A source of weight w may use exactly the targets of weight
-    >= w (+1 when strict), so the allowed target sets are nested and Hall's
-    condition reduces to one count per threshold t: no more sources need
-    weight >= t than there are targets of weight >= t. That holds for
-    every t exactly when every rank-paired couple fits. Returns None
-    otherwise -- possible only when I.lo > 0.
+    chosen by the caller. A source of weight w may use exactly the targets
+    of weight >= w (+1 when strict), so the allowed target sets are nested
+    and Hall's condition reduces to one count per weight threshold t: no
+    more sources need weight >= t than there are targets of weight >= t.
+    Both counts come from the two intervals' weight histograms, so a
+    failing pair returns None after O(log^2 J.hi) binomials, before anything
+    is sorted -- possible only when I.lo > 0. Otherwise both intervals are
+    sorted by Hamming weight, ties in increasing order, and the k-th source
+    is paired with the k-th target, which Hall's condition guarantees fits.
     """
     if I.size != J.size:
         raise ValueError(f"interval sizes differ: {I.size} vs {J.size}")
     if J.lo <= I.lo:
         raise ValueError(f"target must start above source: j0={J.lo} <= i0={I.lo}")
     strict = I.hi < J.lo
-
-    need = 1 if strict else 0
+    if not _hall_holds(I, J, 1 if strict else 0):
+        return None
     # Stable sorts of increasing ranges: ties stay in increasing order.
     ranked = zip(sorted(I, key=hamming_weight), sorted(J, key=hamming_weight))
-    pairs = tuple(sorted(ranked))
-    if any(hamming_weight(p) < hamming_weight(i) + need for i, p in pairs):
-        return None
-    return BijectionWitness(source=I, target=J, map=pairs, strict_required=strict)
+    return BijectionWitness(
+        source=I, target=J, map=tuple(sorted(ranked)), strict_required=strict
+    )
 
 
 def verify_special(w: BijectionWitness) -> bool:
@@ -162,7 +178,9 @@ def check_shifted_hq_inequality(I: Interval, J: Interval, q: int) -> ShiftedHqCh
     """Compare sum of h_q + h_{q-1} over I against sum of h_q over J.
 
     Requires equal-size non-overlapping intervals with I starting at 0,
-    the regime in which the inequality is guaranteed to hold.
+    the regime in which the inequality is guaranteed to hold. Both sums
+    are differences of prefix sums, each read off one weight histogram:
+    lhs = P_q(s) + P_{q-1}(s) and rhs = P_q(j0 + s) - P_q(j0).
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -172,6 +190,6 @@ def check_shifted_hq_inequality(I: Interval, J: Interval, q: int) -> ShiftedHqCh
         raise ValueError(f"source interval must start at 0, got {I.lo}")
     if intervals_overlap(I, J):
         raise ValueError(f"intervals [{I.lo}:{I.hi}] and [{J.lo}:{J.hi}] overlap")
-    lhs = sum(h_q(i, q) + h_q(i, q - 1) for i in I)
-    rhs = sum(h_q(j, q) for j in J)
+    lhs = prefix_hq(I.size, q) + prefix_hq(I.size, q - 1)
+    rhs = prefix_hq(J.hi + 1, q) - prefix_hq(J.lo, q)
     return ShiftedHqCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs)

@@ -21,18 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 __all__ = [
     "MAX_N",
     "DegenerateSplit",
     "VertexFormatError",
     "VertexSet",
-    "Subcube",
     "DecompositionReport",
     "initial_segment",
     "split",
-    "subcube_vertices",
     "count_subcubes_naive",
     "count_subcubes_bitparallel",
     "three_term_report",
@@ -141,41 +139,6 @@ class VertexSet:
         return f"VertexSet(dim={self.dim}, {{{body}}})"
 
 
-class Subcube:
-    """A subcube given by a bit assignment on its fixed coordinates.
-
-    The fixed coordinate set is exactly the set of assignment keys, so the
-    two can never disagree; the remaining coordinates are free and the
-    subcube dimension is ``dim - len(assignment)``.
-    """
-
-    __slots__ = ("dim", "assignment")
-
-    def __init__(self, dim: int, assignment: Mapping[int, int]):
-        _check_dim(dim)
-        fixed = dict(assignment)
-        for coord, bit in fixed.items():
-            if not isinstance(coord, int) or coord < 0 or coord >= dim:
-                raise ValueError(f"fixed coordinate {coord!r} outside [0, {dim - 1}]")
-            if bit not in (0, 1):
-                raise ValueError(f"assignment for coordinate {coord} must be 0 or 1")
-        self.dim = dim
-        self.assignment = fixed
-
-    @property
-    def fixed_coords(self) -> frozenset[int]:
-        return frozenset(self.assignment)
-
-    @property
-    def q(self) -> int:
-        """Dimension of the subcube (number of free coordinates)."""
-        return self.dim - len(self.assignment)
-
-    def __repr__(self) -> str:
-        fixed = ",".join(f"{c}={b}" for c, b in sorted(self.assignment.items()))
-        return f"Subcube(dim={self.dim}, q={self.q}, {{{fixed}}})"
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     """Three-term decomposition of a subcube count along one dimension.
@@ -223,18 +186,6 @@ def split(S: VertexSet, r: int) -> tuple[VertexSet, VertexSet]:
     side1 = S._bits & ones
     side0 = S._bits ^ side1
     return VertexSet.from_bits(S.dim, side0), VertexSet.from_bits(S.dim, side1)
-
-
-def subcube_vertices(c: Subcube) -> VertexSet:
-    """All 2^q vertices of the n-cube agreeing with the fixed assignment."""
-    base = 0
-    for coord, bit in c.assignment.items():
-        base |= bit << coord
-    free = [r for r in range(c.dim) if r not in c.assignment]
-    bits = 1 << base
-    for r in free:
-        bits |= bits << (1 << r)  # toggling coordinate r moves a vertex by 2^r
-    return VertexSet.from_bits(c.dim, bits)
 
 
 def _check_q(q: int, dim: int) -> None:

@@ -132,14 +132,23 @@ def test_criterion_06_special_bijections_exist():
 
 def test_criterion_07_shifted_inequality():
     failures = []
-    for s in range(1, 33):
-        for j0 in range(s, 65 - s):
+    for s in range(1, 65):
+        for j0 in range(s, 129 - s):
             I, J = Interval(0, s - 1), Interval(j0, j0 + s - 1)
-            for q in range(1, 7):
+            for q in range(1, 8):
                 res = check_shifted_hq_inequality(I, J, q)
                 if not res.holds:
                     failures.append((s, j0, q, res.lhs, res.rhs))
-    report(7, "shifted weight sums bounded on disjoint pairs in [0:63]", failures)
+    rng = random.Random(20261018)
+    for _ in range(100):
+        s = rng.randint(1, 2**20)
+        j0 = rng.randint(s, 2**21 - s)
+        I, J = Interval(0, s - 1), Interval(j0, j0 + s - 1)
+        for q in range(1, 22):
+            res = check_shifted_hq_inequality(I, J, q)
+            if not res.holds:
+                failures.append(("random", s, j0, q, res.lhs, res.rhs))
+    report(7, "shifted weight sums bounded on disjoint pairs in [0:127]", failures)
 
 
 def test_criterion_08_kernel_equivalence():

@@ -101,6 +101,29 @@ class TestFindSpecialBijection:
         # weights (1,1) against (2,1): 4 cannot strictly dominate either source
         assert find_special_bijection(Interval(1, 2), Interval(3, 4)) is None
 
+    def test_long_interval_without_bijection(self):
+        I, J = Interval(1, 2**16), Interval(2**16 + 1, 2**17)
+        assert find_special_bijection(I, J) is None
+        # an independent sort-and-pair: some rank pair cannot rise strictly
+        sources = sorted(map(oracles.popcount, I))
+        targets = sorted(map(oracles.popcount, J))
+        assert any(p < i + 1 for i, p in zip(sources, targets))
+
+    def test_existence_matches_sort_and_pair(self):
+        rng = random.Random(2026)
+        for _ in range(1000):
+            lo = rng.randint(0, 300)
+            s = rng.randint(1, 64)
+            j0 = rng.randint(lo + 1, lo + 200)
+            I, J = Interval(lo, lo + s - 1), Interval(j0, j0 + s - 1)
+            need = 1 if I.hi < J.lo else 0
+            sources = sorted(map(oracles.popcount, I))
+            targets = sorted(map(oracles.popcount, J))
+            exists = all(i + need <= p for i, p in zip(sources, targets))
+            w = find_special_bijection(I, J)
+            assert (w is not None) == exists, (I, J)
+            assert w is None or verify_special(w), (I, J)
+
     def test_existence_matches_brute_force_away_from_zero(self):
         for lo in range(1, 17):
             for s in range(1, 7):
@@ -270,6 +293,18 @@ class TestShiftedHqInequality:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             check_shifted_hq_inequality(Interval(0, 1), Interval(4, 6), 1)
+
+    def test_matches_per_element_sums(self):
+        for s in range(1, 48):
+            for j0 in range(s, 3 * s):
+                I, J = Interval(0, s - 1), Interval(j0, j0 + s - 1)
+                src = [oracles.popcount(i) for i in I]
+                dst = [oracles.popcount(j) for j in J]
+                for q in range(1, 5):
+                    lhs = sum(comb(w, q) + comb(w, q - 1) for w in src)
+                    rhs = sum(comb(w, q) for w in dst)
+                    res = check_shifted_hq_inequality(I, J, q)
+                    assert (res.lhs, res.rhs) == (lhs, rhs), (s, j0, q)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 32), st.data(), st.integers(1, 6))

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import cubeseg.cube as cube
 from cubeseg.cube import (
     DegenerateSplit,
-    Subcube,
     VertexFormatError,
     VertexSet,
     count_subcubes_bitparallel,
@@ -17,7 +16,6 @@ from cubeseg.cube import (
     parse_vertex_set,
     render_vertex_lines,
     split,
-    subcube_vertices,
     three_term_report,
 )
 from cubeseg.weights import binom, prefix_hq
@@ -117,29 +115,6 @@ class TestSplit:
         assert s0.bits | s1.bits == S.bits
         assert all((v >> r) & 1 == 0 for v in s0)
         assert all((v >> r) & 1 == 1 for v in s1)
-
-
-class TestSubcubeVertices:
-    def test_fully_fixed_is_single_vertex(self):
-        c = Subcube(3, {0: 1, 1: 0, 2: 1})
-        assert subcube_vertices(c).members() == (5,)
-
-    def test_one_fixed_coordinate(self):
-        c = Subcube(2, {0: 1})
-        assert subcube_vertices(c).members() == (1, 3)
-
-    def test_nothing_fixed_is_whole_cube(self):
-        c = Subcube(3, {})
-        assert subcube_vertices(c).members() == tuple(range(8))
-
-    def test_invalid_assignment(self):
-        with pytest.raises(ValueError):
-            Subcube(2, {2: 0})
-        with pytest.raises(ValueError):
-            Subcube(2, {0: 2})
-
-    def test_q_is_free_count(self):
-        assert Subcube(4, {1: 0, 3: 1}).q == 2
 
 
 class TestCountingKernels:

@@ -1,11 +1,13 @@
 """Tests for Hamming weights, binomials, and prefix sums."""
 
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cubeseg.weights import binom, h_q, hamming_weight, prefix_hq
+from cubeseg.weights import binom, h_q, hamming_weight, prefix_hq, weight_histogram
 
 import oracles
 
@@ -98,6 +100,33 @@ class TestPrefixHq:
         with pytest.raises(ValueError):
             prefix_hq(0, 1)
 
+    def test_invalid_q(self):
+        with pytest.raises(ValueError):
+            prefix_hq(5, -1)
+
+    def test_matches_running_sum(self):
+        # every k <= 4096 against one running per-element math.comb sum
+        totals = [0] * 13
+        for i in range(4096):
+            w = oracles.popcount(i)
+            for q in range(13):
+                totals[q] += math.comb(w, q)
+            for q in range(13):
+                assert prefix_hq(i + 1, q) == totals[q], (i + 1, q)
+
+    def test_doubling_identities(self):
+        # h(2i) = h(i) and h(2i+1) = h(i) + 1 give
+        # P_q(2k) = 2 P_q(k) + P_{q-1}(k) and P_q(2k+1) = P_q(2k) + C(h(k), q)
+        rng = random.Random(6)
+        ks = [1, 2, 3, 10**30]
+        ks += [rng.randint(1, 10 ** rng.randint(1, 30)) for _ in range(60)]
+        for k in ks:
+            for q in range(1, 13):
+                even = prefix_hq(2 * k, q)
+                assert even == 2 * prefix_hq(k, q) + prefix_hq(k, q - 1), (k, q)
+                odd = even + math.comb(oracles.popcount(k), q)
+                assert prefix_hq(2 * k + 1, q) == odd, (k, q)
+
     @given(st.integers(1, 400), st.integers(0, 8))
     def test_matches_reference_sum(self, k, q):
         assert prefix_hq(k, q) == oracles.prefix_sum(k, q)
@@ -105,6 +134,31 @@ class TestPrefixHq:
     @given(st.integers(1, 300), st.integers(0, 6))
     def test_monotone_in_k(self, k, q):
         assert prefix_hq(k + 1, q) >= prefix_hq(k, q)
+
+
+class TestWeightHistogram:
+    def test_counts_every_integer_below_k(self):
+        counts = Counter()
+        for k in range(2049):
+            hist = weight_histogram(k)
+            assert sum(hist) == k
+            assert hist == [counts[w] for w in range(k.bit_length())], k
+            counts[oracles.popcount(k)] += 1
+
+    @pytest.mark.parametrize("k", [10**6, 2**40 + 12345, 10**30])
+    def test_large_k_sums_to_k(self, k):
+        assert sum(weight_histogram(k)) == k
+
+    def test_full_cube_is_a_binomial_row(self):
+        for n in range(70):
+            assert weight_histogram(2**n) == [math.comb(n, w) for w in range(n + 1)]
+
+    def test_zero_is_empty(self):
+        assert weight_histogram(0) == []
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            weight_histogram(-1)
 
 
 class TestPascalShift:
