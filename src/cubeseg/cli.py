@@ -14,6 +14,7 @@ reports go to stdout, diagnostics to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -82,6 +83,7 @@ def _render(report: _Report, fmt: str) -> str:
     return "\n".join(report.plain_lines) + "\n" if report.plain_lines else ""
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cubeseg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,15 +6,26 @@ F_q(k) is defined by F_q(1) = 0 and
 
 with the convention F_0(k) = k. The table builder evaluates this
 recursion bottom-up and records, for every (q, k), the full set of
-maximizing k'. Independently of the recursion, a split (k-k1, k1) of k is
-*hypercubic* when k1 counts the members of {0, ..., k-1} having some
-fixed bit set; every hypercubic k1 is a maximizer, and for q = 1 the two
-sets coincide exactly, while for larger q the reverse inclusion can fail.
+maximizing k'.
+
+Every row is nondecreasing in k: F_q(1) = 0 <= F_q(2), and a maximizer k'
+of F_q(k) is admissible for k+1, where F_q(k+1-k') >= F_q(k-k') by induction.
+So with lead(k') = F_q(k') + F_{q-1}(k'), also nondecreasing, every split
+in a block [a, b] scores at most lead(b) + F_q(k-a). A block whose bound
+falls below the score of one known split holds no maximizer and is
+skipped, which keeps the values and the maximizer sets exact.
+
+Independently of the recursion, a split (k-k1, k1) of k is *hypercubic*
+when k1 counts the members of {0, ..., k-1} having some fixed bit set;
+every hypercubic k1 is a maximizer, and for q = 1 the two sets coincide
+exactly, while for larger q the reverse inclusion can fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, ge
 
 __all__ = [
     "RecursionTable",
@@ -25,6 +36,13 @@ __all__ = [
     "verify_corollary",
     "find_onlyif_counterexamples",
 ]
+
+# Splits k' are scored in blocks of _BLOCK consecutive sizes, each skipped
+# when its bound cannot reach the best score seen; while k/2 <= _PLAIN_HALF,
+# [1, k/2] is one block, where computing the bounds would cost more than
+# the splits they skip.
+_BLOCK = 16
+_PLAIN_HALF = 128
 
 
 @dataclass
@@ -60,7 +78,14 @@ class OnlyIfCounterexample:
 
 
 def build_table(qmax: int, kmax: int) -> RecursionTable:
-    """Evaluate the recursion bottom-up for all q <= qmax, k <= kmax."""
+    """Evaluate the recursion bottom-up for all q <= qmax, k <= kmax.
+
+    Each k starts from the score of its top-bit split k - 2^floor(log2(k-1))
+    and scores only the blocks of splits whose bound lead(b) + F_q(k-a)
+    (module docstring) reaches it. Every maximizer lies in such a block, so
+    the result equals a scan of all q * sum(k // 2) splits. That count stays
+    the worst case; (6, 2048) scores 1.3 M of its 6.3 M splits.
+    """
     if qmax < 0:
         raise ValueError(f"qmax must be >= 0, got {qmax}")
     if kmax < 1:
@@ -70,17 +95,35 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
     for q in range(1, qmax + 1):
         row = [0] * (kmax + 1)
         prev = values[q - 1]
+        lead = [0] * (kmax + 1)  # F_q(k') + F_{q-1}(k'), set with row[k']
+        lead[1] = prev[1]
         for k in range(2, kmax + 1):
-            best = -1
+            half = k // 2
+            top = k - (1 << ((k - 1).bit_length() - 1))
+            best = lead[top] + row[k - top]
+            if half <= _PLAIN_HALF:
+                width, starts = half, (1,)
+            else:
+                # The last block's bound may read lead past k/2: still a bound
+                # as lead is nondecreasing, and already set as k - half > _BLOCK.
+                width = _BLOCK
+                bounds = map(
+                    add, lead[width:half + width:width], row[k - 1:k - 1 - half:-width]
+                )
+                starts = compress(
+                    range(1, half + 1, width), map(ge, bounds, repeat(best))
+                )
             args: list[int] = []
-            for kp in range(1, k // 2 + 1):
-                candidate = row[kp] + row[k - kp] + prev[kp]
-                if candidate > best:
-                    best = candidate
-                    args = [kp]
-                elif candidate == best:
-                    args.append(kp)
+            for a in starts:
+                for kp in range(a, min(a + width, half + 1)):
+                    candidate = lead[kp] + row[k - kp]
+                    if candidate > best:
+                        best = candidate
+                        args = [kp]
+                    elif candidate == best:
+                        args.append(kp)
             row[k] = best
+            lead[k] = best + prev[k]
             maximizer_sets[(q, k)] = tuple(args)
         values.append(row)
     return RecursionTable(qmax=qmax, kmax=kmax, values=values, maximizer_sets=maximizer_sets)

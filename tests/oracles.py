@@ -2,8 +2,8 @@
 
 Everything here is deliberately written against different primitives than
 the package under test (math.comb, string popcounts, itertools-based
-subcube generation, recursive-descent recursion evaluation) so that an
-agreement between the two is meaningful.
+subcube generation, recursive-descent recursion evaluation, an unpruned
+scan of every split) so that an agreement between the two is meaningful.
 """
 
 from itertools import combinations, permutations, product
@@ -79,6 +79,33 @@ def recursion_argmax(q: int, k: int) -> set:
         + recursion_value(q - 1, kp)
         == best
     }
+
+
+def recursion_table_full_scan(qmax: int, kmax: int):
+    """``(values, maximizer_sets)`` of the max-recursion by scanning every split.
+
+    Scores all k' in [1, k//2] for every (q, k), with no pruning: the
+    reference for build_table's values and argmax tuples.
+    """
+    values = [list(range(kmax + 1))]
+    maximizer_sets = {}
+    for q in range(1, qmax + 1):
+        row = [0] * (kmax + 1)
+        prev = values[q - 1]
+        for k in range(2, kmax + 1):
+            best = -1
+            args = []
+            for kp in range(1, k // 2 + 1):
+                candidate = row[kp] + row[k - kp] + prev[kp]
+                if candidate > best:
+                    best = candidate
+                    args = [kp]
+                elif candidate == best:
+                    args.append(kp)
+            row[k] = best
+            maximizer_sets[(q, k)] = tuple(args)
+        values.append(row)
+    return values, maximizer_sets
 
 
 def ones_below(k: int, r: int) -> int:

@@ -86,7 +86,15 @@ def test_criterion_03_hypercubic_are_maximizers(table6, hypercubic_by_k):
         for q in range(1, 6):
             if not hyper <= set(table6.maximizer_sets[(q, k)]):
                 failures.append((q, k))
-    report(3, "every hypercubic size maximizes, q <= 5, k <= 2048", failures)
+    # the pruned build_table against an unpruned scan of every split
+    _, full_scan = oracles.recursion_table_full_scan(6, KMAX)
+    failures += sorted(set(full_scan.items()) ^ set(table6.maximizer_sets.items()))
+    report(
+        3,
+        "every hypercubic size maximizes, q <= 5, and every maximizer set "
+        "equals a full scan, q <= 6, k <= 2048",
+        failures,
+    )
 
 
 def test_criterion_04_q1_equivalence(table6, hypercubic_by_k):

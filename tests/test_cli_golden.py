@@ -43,3 +43,18 @@ def test_stdout_is_byte_exact(capsys, tmp_path, argv, expected):
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
     assert captured.out == expected
+
+
+def test_runs_in_one_process_share_no_parser_state(capsys):
+    # The parser is built once per process: a failed parse that set
+    # --argmax-cap and --output, and a run of another subcommand, must
+    # leave the defaults of the next run as they were.
+    golden = dict(SECTIONS)
+    assert run("oracle --dim 2 --k 3 --argmax-cap 0 --output csv".split()) == 1
+    assert capsys.readouterr().out == ""
+    argv = "counterexample --qmax 3 --kmax 12 --output json"
+    assert run(argv.split()) == 0
+    assert capsys.readouterr().out == golden[argv]
+    assert run("oracle --dim 2 --k 3 --q 1".split()) == 0
+    expected = golden["oracle --dim 2 --k 3 --q 1 --output plain"]
+    assert capsys.readouterr().out == expected

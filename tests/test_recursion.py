@@ -1,6 +1,7 @@
 """Tests for the max-recursion table, maximizers, and hypercubic partitions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubeseg.cube import initial_segment, count_subcubes_naive
 from cubeseg.recursion import (
@@ -59,6 +60,23 @@ class TestBuildTable:
         for q in range(1, 5):
             for k in range(2, 65):
                 assert table.maximizer_sets[(q, k)]
+
+    # Past k = 256 build_table skips blocks of splits; these shapes give
+    # k/2 every residue modulo the block width there and include
+    # k = 2^m - 1, 2^m, 2^m + 1 for m = 9 and m = 10.
+    @pytest.mark.parametrize("qmax,kmax", [(8, 600), (3, 1100)])
+    def test_matches_full_scan(self, qmax, kmax):
+        built = build_table(qmax, kmax)
+        values, maximizer_sets = oracles.recursion_table_full_scan(qmax, kmax)
+        assert built.values == values
+        assert built.maximizer_sets == maximizer_sets
+
+    # The lemma the block bounds rest on, checked on built tables.
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 8), st.integers(1, 700))
+    def test_rows_nondecreasing(self, qmax, kmax):
+        for row in build_table(qmax, kmax).values:
+            assert all(a <= b for a, b in zip(row[1:], row[2:]))
 
 
 class TestMaximizers:
