@@ -4,7 +4,11 @@ A vertex of the n-cube is an integer in [0, 2^n - 1]; bit r of the integer
 is coordinate x_r, so x = (x_{n-1}, ..., x_1, x_0). A vertex set is stored
 canonically as an indicator bitstring over all 2^n positions (one Python
 integer), which makes equality canonical and lets the bit-parallel kernel
-work on whole sets at once.
+work on whole sets at once. Walking the members, building a set from
+them, and reading or writing a vertex file each take time linear in 2^n:
+members are read off the indicator's binary digits in one pass, or marked
+in a 2^n-byte array that becomes the indicator once at the end, so no
+step shifts the whole integer once per member.
 
 Two interchangeable counting kernels are provided:
 
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -53,6 +57,15 @@ class VertexFormatError(ValueError):
     """Raised for malformed, duplicate, or out-of-range vertices in a file."""
 
 
+# bytes.translate table from a 0/1 mark array to the ASCII digits "0"/"1".
+_MARK_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _indicator(marks: bytearray) -> int:
+    """The indicator integer of a 0/1 mark array (marks[v] is bit v)."""
+    return int(marks[::-1].translate(_MARK_DIGITS), 2)
+
+
 def _check_dim(dim: int) -> None:
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise TypeError(f"dim must be an int, got {type(dim).__name__}")
@@ -74,13 +87,14 @@ class VertexSet:
     def __init__(self, dim: int, members: Iterable[int] = ()):
         _check_dim(dim)
         limit = 1 << dim
-        bits = 0
+        marks = bytearray(limit)
         for v in members:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"vertex must be an int, got {v!r}")
             if v < 0 or v >= limit:
                 raise ValueError(f"vertex {v} outside [0, {limit - 1}] for dim {dim}")
-            bits |= 1 << v
+            marks[v] = 1
+        bits = _indicator(marks)
         self.dim = dim
         self._bits = bits
         self._card = bits.bit_count()
@@ -114,11 +128,13 @@ class VertexSet:
         return bool((self._bits >> v) & 1)
 
     def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        # One pass over the indicator's binary digits, lowest bit first, so
+        # a full walk is linear in 2^n whatever |S| is.
+        digits = bin(self._bits)[:1:-1]
+        v = digits.find("1")
+        while v >= 0:
+            yield v
+            v = digits.find("1", v + 1)
 
     def __len__(self) -> int:
         return self._card
@@ -132,7 +148,7 @@ class VertexSet:
         return hash((self.dim, self._bits))
 
     def __repr__(self) -> str:
-        shown = list(self)
+        shown = list(islice(self, 13))
         body = ",".join(map(str, shown[:12]))
         if len(shown) > 12:
             body += ",..."
@@ -297,13 +313,16 @@ def parse_vertex_set(lines: Iterable[str], dim: int, fmt: str = "decimal") -> Ve
     Blank lines and lines starting with ``#`` are ignored. Decimal mode
     takes non-negative integers; binary mode takes exactly ``dim``
     characters of 0/1 with the most significant coordinate leftmost.
-    Duplicates, malformed lines, and out-of-range vertices are errors.
+    Duplicates, malformed lines, and out-of-range vertices are errors;
+    the message names the first bad line. Members are marked in a
+    2^dim-byte array, so parsing is linear in 2^dim plus the text length.
     """
     _check_dim(dim)
     if fmt not in ("decimal", "binary"):
         raise ValueError(f"format must be 'decimal' or 'binary', got {fmt!r}")
     limit = 1 << dim
-    bits = 0
+    width = len(str(limit - 1))
+    marks = bytearray(limit)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -313,7 +332,15 @@ def parse_vertex_set(lines: Iterable[str], dim: int, fmt: str = "decimal") -> Ve
                 raise VertexFormatError(
                     f"line {lineno}: {line!r} is not a non-negative decimal integer"
                 )
-            v = int(line)
+            # More significant digits than limit - 1 is out of range; test
+            # the length first, since int() refuses lines past the
+            # interpreter's digit limit (leading zeros count there too).
+            digits = line.lstrip("0") or "0"
+            if len(digits) > width:
+                raise VertexFormatError(
+                    f"line {lineno}: vertex {digits} outside [0, {limit - 1}] for dim {dim}"
+                )
+            v = int(digits)
         else:
             if len(line) != dim or any(ch not in "01" for ch in line):
                 raise VertexFormatError(
@@ -324,10 +351,10 @@ def parse_vertex_set(lines: Iterable[str], dim: int, fmt: str = "decimal") -> Ve
             raise VertexFormatError(
                 f"line {lineno}: vertex {v} outside [0, {limit - 1}] for dim {dim}"
             )
-        if (bits >> v) & 1:
+        if marks[v]:
             raise VertexFormatError(f"line {lineno}: duplicate vertex {v}")
-        bits |= 1 << v
-    return VertexSet.from_bits(dim, bits)
+        marks[v] = 1
+    return VertexSet.from_bits(dim, _indicator(marks))
 
 
 def load_vertex_set(path, dim: int, fmt: str = "decimal") -> VertexSet:

@@ -81,6 +81,18 @@ class TestCount:
         )
         assert rc == 2 and out == "" and "outside" in err
 
+    def test_overlong_decimal_vertex_is_input_error(self, capsys, tmp_path):
+        # 5000 digits is past int()'s digit limit; it must be read as out of
+        # range, not escape as a ValueError with exit code 1
+        path = tmp_path / "long.txt"
+        path.write_text("0\n" + "9" * 5000 + "\n")
+        rc, out, err = invoke(
+            capsys, ["count", "--dim", "4", "--q", "1", "--input", str(path)]
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("input error: line 2: vertex 999")
+        assert err.endswith(" outside [0, 15] for dim 4\n")
+
     @pytest.mark.parametrize(
         "line", ["\u00b2", "\u0661\u0662"], ids=["superscript-two", "arabic-indic-12"]
     )

@@ -13,8 +13,10 @@ from cubeseg.cube import (
     count_subcubes_bitparallel,
     count_subcubes_naive,
     initial_segment,
+    load_vertex_set,
     parse_vertex_set,
     render_vertex_lines,
+    save_vertex_set,
     split,
     three_term_report,
 )
@@ -67,6 +69,45 @@ class TestVertexSet:
     def test_from_bits_round_trip(self):
         S = VertexSet(4, [0, 7, 9])
         assert VertexSet.from_bits(4, S.bits) == S
+
+    def test_shuffled_members_match_summed_indicator(self):
+        n = 16
+        rng = random.Random(16)
+        members = rng.sample(range(2**n), 20000)
+        members += members[:500]  # duplicates collapse
+        rng.shuffle(members)
+        expected = sum(1 << v for v in set(members))
+        assert VertexSet(n, members) == VertexSet.from_bits(n, expected)
+
+    def test_member_errors_in_iteration_order(self):
+        with pytest.raises(TypeError, match="'x'"):
+            VertexSet(2, [1, "x", 9])
+        with pytest.raises(ValueError, match="vertex 9 outside"):
+            VertexSet(2, [1, 9, "x"])
+        with pytest.raises(TypeError):
+            VertexSet(2, [True])
+        with pytest.raises(ValueError, match="vertex -1 outside"):
+            VertexSet(2, [3, -1])
+
+    def test_iteration_at_full_dimension(self):
+        n = cube.MAX_N
+        rng = random.Random(n)
+        members = sorted(rng.sample(range(2**n), 3000) + [0, 2**n - 1])
+        bits = sum(1 << v for v in members)
+        S = VertexSet.from_bits(n, bits)
+        assert list(S) == members
+        assert S.members() == tuple(members)
+        assert list(VertexSet.from_bits(n, 0)) == []
+
+    def test_repr_lists_at_most_twelve_members(self):
+        assert repr(VertexSet(3, [5, 0, 2])) == "VertexSet(dim=3, {0,2,5})"
+        assert repr(VertexSet(3, [])) == "VertexSet(dim=3, {})"
+        assert repr(initial_segment(12, 4)) == (
+            "VertexSet(dim=4, {0,1,2,3,4,5,6,7,8,9,10,11})"
+        )
+        assert repr(initial_segment(2**20, 20)) == (
+            "VertexSet(dim=20, {0,1,2,3,4,5,6,7,8,9,10,11,...})"
+        )
 
 
 class TestInitialSegment:
@@ -302,6 +343,32 @@ class TestTextFormat:
         with pytest.raises(VertexFormatError, match="outside"):
             parse_vertex_set(["4"], 2)
 
+    def test_overlong_decimal_rejected_by_length(self):
+        # Past int()'s 4300-digit limit: still an out-of-range input error
+        with pytest.raises(
+            VertexFormatError,
+            match=r"^line 2: vertex 9{5000} outside \[0, 15\] for dim 4$",
+        ):
+            parse_vertex_set(["1", "9" * 5000], 4)
+        with pytest.raises(VertexFormatError, match=r"^line 1: vertex 16 outside"):
+            parse_vertex_set(["016"], 4)
+
+    def test_leading_zeros_do_not_count(self):
+        assert parse_vertex_set(["0" * 5000 + "15", "0" * 5000, "007"], 4) == (
+            VertexSet(4, [0, 7, 15])
+        )
+
+    def test_first_bad_line_wins(self):
+        lines = ["0", "1", "1", "2", "99", "x"]
+        with pytest.raises(VertexFormatError, match=r"^line 3: duplicate vertex 1$"):
+            parse_vertex_set(lines, 3)
+        lines = ["0", "1", "99", "2", "1", "1"]
+        with pytest.raises(VertexFormatError, match=r"^line 3: vertex 99 outside"):
+            parse_vertex_set(lines, 3)
+        binary = ["000", "001", "001", "011", "1000"]
+        with pytest.raises(VertexFormatError, match=r"^line 3: duplicate vertex 1$"):
+            parse_vertex_set(binary, 3, "binary")
+
     def test_malformed_decimal(self):
         with pytest.raises(VertexFormatError):
             parse_vertex_set(["2.5"], 3)
@@ -323,6 +390,19 @@ class TestTextFormat:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_vertex_set(["0"], 2, "octal")
+
+    def test_large_segment_files_match_reference_text(self, tmp_path):
+        n, k = 18, 157286
+        S = initial_segment(k, n)
+        expected = {
+            "decimal": "".join(f"{i}\n" for i in range(k)),
+            "binary": "".join(format(i, "018b") + "\n" for i in range(k)),
+        }
+        for fmt, text in expected.items():
+            path = tmp_path / f"{fmt}.txt"
+            save_vertex_set(S, path, fmt)
+            assert path.read_bytes() == text.encode("ascii"), fmt
+            assert load_vertex_set(path, n, fmt) == S, fmt
 
     @settings(max_examples=40)
     @given(vertex_sets(max_dim=6))
