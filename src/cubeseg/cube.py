@@ -13,7 +13,9 @@ step shifts the whole integer once per member.
 Two interchangeable counting kernels are provided:
 
 * ``count_subcubes_naive`` enumerates every candidate subcube and tests
-  its vertices one by one -- the ground-truth path.
+  each one with a single mask, the indicator shifted down to the
+  candidate's lowest vertex against the cube of its free coordinates --
+  the ground-truth path. It shares no code with the other kernel.
 * ``count_subcubes_bitparallel`` walks the free-coordinate sets depth
   first, folding the indicator once per added coordinate and pruning a
   branch as soon as its fold is empty; a bit surviving q folds certifies
@@ -210,35 +212,41 @@ def _check_q(q: int, dim: int) -> None:
 
 
 def _free_coordinate_tables(n: int, q: int):
-    """Per free-coordinate-set data: (fixed mask, vertex offsets).
+    """Per free-coordinate-set data: (fixed mask, cube mask).
 
     Free sets are produced in lexicographic order of their coordinate
-    indices so that enumeration order is deterministic. The last offset
-    has every free bit set.
+    indices so that enumeration order is deterministic. The cube mask is
+    the indicator of the subcube that frees these coordinates and fixes
+    the others at 0, built by doubling: each free coordinate t ORs in a
+    copy shifted up by 2^t.
     """
     full = (1 << n) - 1
     for free in combinations(range(n), q):
-        offsets = [0]
+        free_mask = 0
+        cube = 1
         for t in free:
-            offsets += [o | 1 << t for o in offsets]
-        yield full ^ offsets[-1], tuple(offsets)
+            free_mask |= 1 << t
+            cube |= cube << (1 << t)
+        yield full ^ free_mask, cube
 
 
 def count_subcubes_naive(S: VertexSet, q: int) -> int:
     """Count q-dimensional subcubes contained in S by direct enumeration.
 
     Every one of the C(n,q) * 2^(n-q) candidate subcubes is generated and
-    each of its 2^q vertices is tested for membership.
+    tested with one mask: the candidate at lowest vertex ``base`` is
+    inside S exactly when the indicator shifted down by ``base`` covers
+    the cube mask of its free coordinates.
     """
     _check_q(q, S.dim)
     bits = S._bits
     count = 0
-    for qmask, offsets in _free_coordinate_tables(S.dim, q):
+    for qmask, cube in _free_coordinate_tables(S.dim, q):
         # Bases are the submasks of the fixed-coordinate mask, visited in
         # increasing order (assignments in increasing integer order).
         base = 0
         while True:
-            if all((bits >> (base | off)) & 1 for off in offsets):
+            if (bits >> base) & cube == cube:
                 count += 1
             if base == qmask:
                 break
@@ -342,7 +350,7 @@ def parse_vertex_set(lines: Iterable[str], dim: int, fmt: str = "decimal") -> Ve
                 )
             v = int(digits)
         else:
-            if len(line) != dim or any(ch not in "01" for ch in line):
+            if len(line) != dim or line.strip("01"):
                 raise VertexFormatError(
                     f"line {lineno}: {line!r} is not a {dim}-character binary string"
                 )

@@ -386,6 +386,11 @@ class TestTextFormat:
             parse_vertex_set(["01", "001"], 2, "binary")
         with pytest.raises(VertexFormatError):
             parse_vertex_set(["0x"], 2, "binary")
+        # right length, not all 0/1; int(line, 2) accepts the first and
+        # the last (Arabic-Indic digits, read as 3)
+        for line in ("0_1", "1 0", "٠١١"):
+            with pytest.raises(VertexFormatError, match="3-character binary"):
+                parse_vertex_set([line], 3, "binary")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

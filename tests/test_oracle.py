@@ -10,7 +10,7 @@ from cubeseg.oracle import (
     brute_force_mq,
     is_optimal_set,
 )
-from cubeseg.weights import binom
+from cubeseg.weights import binom, prefix_hq
 
 import oracles
 
@@ -34,23 +34,35 @@ class TestBruteForce:
             assert res.max_count == binom(n, q) * 2 ** (n - q)
             assert res.total_subsets_scanned == 1
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", [*range(1, 7), 8, 10])
     def test_all_but_one_vertex_closed_form(self, n):
-        # Each missing vertex takes away the C(n, q) q-subcubes through it;
-        # the suffix after it is pushed again for every one of the 2^n sets.
+        # Each missing vertex takes away the C(n, q) q-subcubes through it.
+        # The complement walk scores each of the 2^n sets with one removal.
         for q in range(n + 1):
             res = brute_force_mq(n, 2**n - 1, q)
             assert res.max_count == binom(n, q) * (2 ** (n - q) - 1)
             assert res.total_subsets_scanned == 2**n
 
+    def test_two_removed_from_the_8_cube(self):
+        # Removing two vertices from the 8-cube; the maximum keeps the
+        # initial segment's prefix sum.
+        res = brute_force_mq(8, 254, 3, argmax_cap=1)
+        assert res.max_count == prefix_hq(254, 3) == 1701
+        assert res.matches_formula
+        assert res.total_subsets_scanned == binom(256, 2)
+        assert res.argmax_examples == (initial_segment(254, 8),)
+
     @pytest.mark.parametrize(
         "n,k",
         [(n, k) for n in range(1, 4) for k in range(1, 2**n + 1)]
-        + [(4, k) for k in (2, 3, 14, 15)],
+        + [(4, k) for k in (2, 3, 11, 14, 15)]
+        + [(5, 30), (5, 31)],
     )
     def test_matches_independent_reference(self, n, k):
         # Whole argmax list, in order, against itertools and an explicit
-        # subcube generator.
+        # subcube generator. The scan walks the removed set instead once
+        # 3k > 2^(n+1): from k = 6 at n = 3, so the n = 3 cases cover both
+        # sides of the switch, and from k = 11 at n = 4.
         for q in range(n + 1):
             counts = {
                 combo: oracles.subcube_count(combo, n, q)
