@@ -6,8 +6,12 @@ optional emission of the initial segment), ``oracle`` (exhaustive search),
 ``bijection`` (special-bijection witness), ``hypercubic`` (partition
 sizes), and ``counterexample`` (maximizers that no bit position explains).
 
-Every subcommand emits plain, json, or csv with identical numeric content;
-reports go to stdout, diagnostics to stderr. Exit codes: 0 success,
+Every subcommand builds one report: a json value, csv rows (header first)
+and plain rows. One line writer prints a list of rows, one line per row:
+csv joins the cells with "," and shows an empty list as nothing, plain
+joins them with " " and shows an empty list as "-"; a list cell joins its
+items with "|". The three formats carry identical numeric content.
+Reports go to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 usage error, 2 input error, 3 enumeration budget exceeded.
 """
 
@@ -41,46 +45,40 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class _Report:
     json_obj: object
-    csv_header: list
-    csv_rows: list
-    plain_lines: list
+    csv_rows: list  # header first
+    plain_rows: list
 
 
-def _cell(value) -> str:
+def _cell(value, empty: str) -> str:
+    """A cell that is not a plain int; an empty list shows as empty."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple, set, frozenset)):
-        return "|".join(str(v) for v in value)
+        return "|".join(map(str, value)) if value else empty
     return str(value)
 
 
-def _plain_cell(value) -> str:
-    if isinstance(value, (list, tuple, set, frozenset)) and not value:
-        return "-"
-    return _cell(value)
+def _lines(rows: list, sep: str, empty: str) -> str:
+    """One line per row, its cells joined by sep."""
+    # Most cells are ints and skip the call; a bool is not `type(v) is int`.
+    return "".join([
+        sep.join([str(v) if type(v) is int else _cell(v, empty) for v in row]) + "\n"
+        for row in rows
+    ])
 
 
 def _table(header: list, rows: list) -> _Report:
     """A header-plus-rows report: json row objects, one line per row."""
-    objs = [dict(zip(header, row)) for row in rows]
-    plain = [" ".join(header)]
-    plain += [" ".join(_plain_cell(v) for v in row) for row in rows]
-    return _Report(objs, header, rows, plain)
-
-
-def _pairs(names: list, values: list) -> list:
-    """Plain ``name value`` lines."""
-    return [f"{name} {_plain_cell(value)}" for name, value in zip(names, values)]
+    lines = [header] + rows
+    return _Report([dict(zip(header, row)) for row in rows], lines, lines)
 
 
 def _render(report: _Report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.json_obj, indent=2) + "\n"
     if fmt == "csv":
-        lines = [",".join(report.csv_header)]
-        lines += [",".join(_cell(v) for v in row) for row in report.csv_rows]
-        return "\n".join(lines) + "\n"
-    return "\n".join(report.plain_lines) + "\n" if report.plain_lines else ""
+        return _lines(report.csv_rows, ",", "")
+    return _lines(report.plain_rows, " ", "-")
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -186,7 +184,7 @@ def _cmd_fq(ns) -> _Report:
 def _cmd_count(ns) -> _Report:
     S = cube.load_vertex_set(ns.input, ns.dim, ns.input_format)
     count = cube.count_subcubes_bitparallel(S, ns.q)
-    return _Report({"count": count}, ["count"], [[count]], [str(count)])
+    return _Report({"count": count}, [["count"], [count]], [[count]])
 
 
 def _cmd_optimal(ns) -> _Report:
@@ -196,9 +194,7 @@ def _cmd_optimal(ns) -> _Report:
     value = prefix_hq(ns.k, ns.q)
     if ns.emit_set:
         cube.save_vertex_set(segment, ns.emit_set, ns.input_format)
-    return _Report(
-        {"optimal_count": value}, ["optimal_count"], [[value]], [str(value)]
-    )
+    return _Report({"optimal_count": value}, [["optimal_count"], [value]], [[value]])
 
 
 def _cmd_oracle(ns) -> _Report:
@@ -235,10 +231,10 @@ def _cmd_oracle(ns) -> _Report:
         result.n, result.k, result.q, result.max_count, formula,
         result.matches_formula, result.total_subsets_scanned,
     ]
-    csv_rows = [scalars + [members] for members in argmax] or [scalars + [[]]]
-    plain = _pairs(header[:-1], scalars)
-    plain += [f"argmax {_plain_cell(members)}" for members in argmax]
-    return _Report(obj, header, csv_rows, plain)
+    rows = [scalars + [members] for members in argmax] or [scalars + [[]]]
+    plain = [[name, value] for name, value in zip(header, scalars)]
+    plain += [["argmax", members] for members in argmax]
+    return _Report(obj, [header] + rows, plain)
 
 
 def _cmd_bijection(ns) -> _Report:
@@ -251,28 +247,30 @@ def _cmd_bijection(ns) -> _Report:
     }
     header = ["source_lo", "source_hi", "target_lo", "target_hi"]
     bounds = [source.lo, source.hi, target.lo, target.hi]
-    plain = [f"source {source.lo} {source.hi}", f"target {target.lo} {target.hi}"]
+    plain = [["source", source.lo, source.hi], ["target", target.lo, target.hi]]
     if witness is None:
         obj = {"found": False, **intervals}
-        plain.append("found false")
-        return _Report(obj, header + ["found"], [bounds + [False]], plain)
+        plain.append(["found", False])
+        return _Report(obj, [header + ["found"], bounds + [False]], plain)
     strict = witness.strict_required
     obj = {
         **intervals,
         "strict_required": strict,
         "map": [[i, p] for i, p in witness.map],
     }
-    rows = [bounds + [strict, i, p] for i, p in witness.map]
-    plain.append(f"strict_required {_cell(strict)}")
-    plain += [f"{i} {p}" for i, p in witness.map]
-    return _Report(obj, header + ["strict_required", "i", "p"], rows, plain)
+    rows = [header + ["strict_required", "i", "p"]]
+    rows += [bounds + [strict, i, p] for i, p in witness.map]
+    plain.append(["strict_required", strict])
+    plain += witness.map
+    return _Report(obj, rows, plain)
 
 
 def _cmd_hypercubic(ns) -> _Report:
     parts = sorted(recursion.hypercubic_partitions(ns.k))
     header = ["k", "hypercubic"]
     values = [ns.k, parts]
-    return _Report(dict(zip(header, values)), header, [values], _pairs(header, values))
+    pairs = list(zip(header, values))
+    return _Report(dict(pairs), [header, values], pairs)
 
 
 def _cmd_counterexample(ns) -> _Report:

@@ -30,7 +30,6 @@ from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 __all__ = [
-    "MAX_N",
     "DegenerateSplit",
     "VertexFormatError",
     "VertexSet",
@@ -46,9 +45,9 @@ __all__ = [
     "save_vertex_set",
 ]
 
-# Largest accepted cube dimension. 2^20-bit indicators are desk-scale;
-# rebind (cubeseg.cube.MAX_N = ...) to lift the cap.
-MAX_N = 20
+# Largest accepted cube dimension. A set is a 2^n-bit indicator, built
+# through a 2^n-byte mark array, so one set at n = 20 is built in 1 MiB.
+_MAX_DIM = 20
 
 
 class DegenerateSplit(ValueError):
@@ -71,8 +70,8 @@ def _indicator(marks: bytearray) -> int:
 def _check_dim(dim: int) -> None:
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise TypeError(f"dim must be an int, got {type(dim).__name__}")
-    if dim < 1 or dim > MAX_N:
-        raise ValueError(f"dim must be in [1, {MAX_N}], got {dim}")
+    if dim < 1 or dim > _MAX_DIM:
+        raise ValueError(f"dim must be in [1, {_MAX_DIM}], got {dim}")
 
 
 class VertexSet:
@@ -289,8 +288,6 @@ def three_term_report(S: VertexSet, q: int, r: int) -> DecompositionReport:
     """
     if q < 1 or q > S.dim:
         raise ValueError(f"q must be in [1, {S.dim}], got {q}")
-    if r < 0 or r >= S.dim:
-        raise ValueError(f"coordinate r must be in [0, {S.dim - 1}], got {r}")
     side0, side1 = split(S, r)
     if len(side0) == 0 or len(side1) == 0:
         raise DegenerateSplit(f"dimension {r} does not separate the set")

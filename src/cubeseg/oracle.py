@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .cube import VertexSet, _check_dim, count_subcubes_naive
+from .cube import VertexSet, _check_dim, _check_q, count_subcubes_naive
 from .weights import prefix_hq
 
 __all__ = [
@@ -97,8 +97,7 @@ def brute_force_mq(
     size = 1 << n
     if k < 1 or k > size:
         raise ValueError(f"k must be in [1, 2^{n}], got {k}")
-    if q < 0 or q > n:
-        raise ValueError(f"q must be in [0, {n}], got {q}")
+    _check_q(q, n)
     if argmax_cap < 0:
         raise ValueError(f"argmax_cap must be >= 0, got {argmax_cap}")
     if budget < 1:

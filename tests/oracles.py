@@ -25,25 +25,33 @@ def edge_count(members) -> int:
     )
 
 
-def subcube_count(members, n: int, q: int) -> int:
-    """Count q-subcubes inside a vertex collection by explicit generation.
+@lru_cache(maxsize=None)
+def _subcubes(n: int, q: int) -> tuple:
+    """Every q-subcube of the n-cube, as the frozenset of its 2^q vertices.
 
-    Fixes every (n-q)-subset of coordinates to every bit pattern and
-    checks the resulting 2^q vertices against a Python set.
+    Fixes every (n-q)-subset of coordinates to every bit pattern and lets
+    the other q coordinates run over every bit pattern.
     """
-    vertex_set = set(members)
-    count = 0
+    cubes = []
     for fixed in combinations(range(n), n - q):
         free = [r for r in range(n) if r not in fixed]
         for pattern in product((0, 1), repeat=len(fixed)):
             base = sum(bit << coord for coord, bit in zip(fixed, pattern))
-            vertices = [
+            cubes.append(frozenset(
                 base + sum(bit << coord for coord, bit in zip(free, free_bits))
                 for free_bits in product((0, 1), repeat=len(free))
-            ]
-            if all(v in vertex_set for v in vertices):
-                count += 1
-    return count
+            ))
+    return tuple(cubes)
+
+
+def subcube_count(members, n: int, q: int) -> int:
+    """Count q-subcubes inside a vertex collection by explicit generation.
+
+    Tests every generated q-subcube for being a subset of the members,
+    held in a Python set.
+    """
+    vertex_set = set(members)
+    return sum(cube <= vertex_set for cube in _subcubes(n, q))
 
 
 def prefix_sum(k: int, q: int) -> int:

@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import cubeseg.cube as cube
 from cubeseg.cube import (
     DegenerateSplit,
     VertexFormatError,
@@ -20,6 +19,7 @@ from cubeseg.cube import (
     split,
     three_term_report,
 )
+from cubeseg.oracle import brute_force_mq
 from cubeseg.weights import binom, prefix_hq
 
 import oracles
@@ -58,13 +58,24 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             VertexSet(0, [])
         with pytest.raises(ValueError):
-            VertexSet(cube.MAX_N + 1, [])
+            VertexSet(21, [])
 
-    def test_max_n_override(self, monkeypatch):
-        monkeypatch.setattr(cube, "MAX_N", 4)
-        with pytest.raises(ValueError):
-            VertexSet(5, [])
-        assert len(VertexSet(4, [15])) == 1
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: VertexSet(n, [0]),
+            lambda n: VertexSet.from_bits(n, 1),
+            lambda n: initial_segment(1, n),
+            lambda n: parse_vertex_set(["0"], n),
+            lambda n: brute_force_mq(n, 2**n, 0),  # the full cube: one set
+        ],
+        ids=["VertexSet", "from_bits", "initial_segment", "parse_vertex_set",
+             "brute_force_mq"],
+    )
+    def test_dimension_bound_is_fixed_at_20(self, build):
+        with pytest.raises(ValueError, match=r"dim must be in \[1, 20\], got 21"):
+            build(21)
+        build(20)  # the largest accepted dimension
 
     def test_from_bits_round_trip(self):
         S = VertexSet(4, [0, 7, 9])
@@ -90,7 +101,7 @@ class TestVertexSet:
             VertexSet(2, [3, -1])
 
     def test_iteration_at_full_dimension(self):
-        n = cube.MAX_N
+        n = 20
         rng = random.Random(n)
         members = sorted(rng.sample(range(2**n), 3000) + [0, 2**n - 1])
         bits = sum(1 << v for v in members)

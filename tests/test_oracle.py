@@ -55,14 +55,15 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "n,k",
         [(n, k) for n in range(1, 4) for k in range(1, 2**n + 1)]
-        + [(4, k) for k in (2, 3, 11, 14, 15)]
+        + [(4, k) for k in (2, 3, 8, 10, 11, 14, 15)]
         + [(5, 30), (5, 31)],
     )
     def test_matches_independent_reference(self, n, k):
         # Whole argmax list, in order, against itertools and an explicit
         # subcube generator. The scan walks the removed set instead once
-        # 3k > 2^(n+1): from k = 6 at n = 3, so the n = 3 cases cover both
-        # sides of the switch, and from k = 11 at n = 4.
+        # 3k > 2^(n+1): from k = 6 at n = 3 and from k = 11 at n = 4, so
+        # the n = 3 cases and n = 4 at k = 10 and 11 cover both sides of
+        # the switch.
         for q in range(n + 1):
             counts = {
                 combo: oracles.subcube_count(combo, n, q)
@@ -130,8 +131,8 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", [21, 64, 20000])
     def test_dimension_bounded_before_work(self, n):
-        # No set of a cube beyond MAX_N can be built, so this is an input
-        # error and not a budget overrun.
+        # No set of a cube beyond dimension 20 can be built, so this is an
+        # input error and not a budget overrun.
         with pytest.raises(ValueError, match="dim"):
             brute_force_mq(n, 2, 0)
 
