@@ -50,7 +50,7 @@ from .recursion import (
     maximizers,
     verify_corollary,
 )
-from .weights import binom, h_q, hamming_weight, prefix_hq, weight_histogram
+from .weights import prefix_hq, weight_histogram
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "ShiftedHqCheck",
     "VertexFormatError",
     "VertexSet",
-    "binom",
     "brute_force_mq",
     "build_table",
     "check_g_inequality",
@@ -78,8 +77,6 @@ __all__ = [
     "count_subcubes_naive",
     "find_onlyif_counterexamples",
     "find_special_bijection",
-    "h_q",
-    "hamming_weight",
     "hypercubic_partitions",
     "initial_segment",
     "intervals_overlap",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 from typing import Optional, Sequence
 
-from .weights import hamming_weight, prefix_hq, weight_histogram
+from .weights import interval_histogram, prefix_hq
 
 __all__ = [
     "Interval",
@@ -69,18 +69,12 @@ def intervals_overlap(I: Interval, J: Interval) -> bool:
     return max(I.lo, J.lo) <= min(I.hi, J.hi)
 
 
-def _weights_in(I: Interval) -> list[int]:
-    """``hist[w]`` = number of i in I with Hamming weight w."""
-    upper, lower = weight_histogram(I.hi + 1), weight_histogram(I.lo)
-    return [a - b for a, b in zip_longest(upper, lower, fillvalue=0)]
-
-
 def _hall_holds(I: Interval, J: Interval, need: int) -> bool:
     # Hall per threshold t: #{i in I : h(i) + need >= t} <= #{p in J : h(p) >= t}.
     # The sizes are equal, so equivalently, below every t the shifted
     # sources are at least as many as the targets.
-    shifted = [0] * need + _weights_in(I)
-    pairs = zip_longest(shifted, _weights_in(J), fillvalue=0)
+    shifted = [0] * need + interval_histogram(I.lo, I.hi)
+    pairs = zip_longest(shifted, interval_histogram(J.lo, J.hi), fillvalue=0)
     return all(spare >= 0 for spare in accumulate(a - b for a, b in pairs))
 
 
@@ -107,7 +101,7 @@ def find_special_bijection(I: Interval, J: Interval) -> Optional[BijectionWitnes
     if not _hall_holds(I, J, 1 if strict else 0):
         return None
     # Stable sorts of increasing ranges: ties stay in increasing order.
-    ranked = zip(sorted(I, key=hamming_weight), sorted(J, key=hamming_weight))
+    ranked = zip(sorted(I, key=int.bit_count), sorted(J, key=int.bit_count))
     return BijectionWitness(
         source=I, target=J, map=tuple(sorted(ranked)), strict_required=strict
     )
@@ -151,19 +145,24 @@ def check_g_inequality(I: Interval, J: Interval, g: Sequence) -> GInequalityChec
     ``g`` is a finite table indexed by Hamming weight; it must be
     non-decreasing and long enough to cover every weight occurring in
     I and J. The record reports both sums and whether lhs <= rhs holds,
-    strictly or not.
+    strictly or not. Each sum is ``sum(hist[w] * g[w])`` over the
+    interval's weight histogram, so the cost is O(log^2 hi) binomials for
+    the larger upper bound hi, plus one pass over g, not one term per
+    integer. Int and ``Fraction``
+    tables give exact sums; a float table is summed per weight rather
+    than per integer, so ``lhs`` and ``rhs`` may differ in the last place
+    from a per-element sum, and so may ``strict``.
     """
     if any(a > b for a, b in zip(g, g[1:])):
         raise ValueError("g table must be non-decreasing")
-    max_weight = max(
-        max(hamming_weight(i) for i in I), max(hamming_weight(j) for j in J)
-    )
+    src, dst = interval_histogram(I.lo, I.hi), interval_histogram(J.lo, J.hi)
+    max_weight = max(w for hist in (src, dst) for w, count in enumerate(hist) if count)
     if len(g) <= max_weight:
         raise ValueError(
             f"g table covers weights up to {len(g) - 1}, need {max_weight}"
         )
-    lhs = sum(g[hamming_weight(i)] for i in I)
-    rhs = sum(g[hamming_weight(j)] for j in J)
+    lhs = sum(count * g[w] for w, count in enumerate(src) if count)
+    rhs = sum(count * g[w] for w, count in enumerate(dst) if count)
     return GInequalityCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs, strict=lhs < rhs)
 
 
@@ -175,7 +174,7 @@ class ShiftedHqCheck:
 
 
 def check_shifted_hq_inequality(I: Interval, J: Interval, q: int) -> ShiftedHqCheck:
-    """Compare sum of h_q + h_{q-1} over I against sum of h_q over J.
+    """Compare sum of C(h(i), q) + C(h(i), q-1) over I against C(h(j), q) over J.
 
     Requires equal-size non-overlapping intervals with I starting at 0,
     the regime in which the inequality is guaranteed to hold. Both sums

@@ -182,6 +182,8 @@ def _cmd_fq(ns) -> _Report:
 
 
 def _cmd_count(ns) -> _Report:
+    cube._check_dim(ns.dim)  # before the vertex file is opened
+    cube._check_q(ns.q, ns.dim)
     S = cube.load_vertex_set(ns.input, ns.dim, ns.input_format)
     count = cube.count_subcubes_bitparallel(S, ns.q)
     return _Report({"count": count}, [["count"], [count]], [[count]])

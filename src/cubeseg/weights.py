@@ -1,46 +1,22 @@
-"""Hamming weights, exact binomial coefficients, and their prefix sums.
+"""Weight histograms of integer intervals and the prefix sums they give.
 
-Everything here is integer-exact: binomials come from ``math.comb`` (no
-floating point anywhere), and Python's arbitrary-precision integers make
-silent overflow impossible. Prefix sums are read off the weight histogram
-of ``0 .. k-1``, which the set bits of k determine in O(log^2 k) binomials.
+Three functions: ``weight_histogram(k)`` counts each Hamming weight among
+``0 .. k-1``, ``interval_histogram(lo, hi)`` among ``lo .. hi``, and
+``prefix_hq(k, q)`` is the sum of C(h(i), q) over i < k. The histogram of
+``0 .. k-1`` is read off the set bits of k in O(log^2 k) binomials from
+``math.comb``; everything is integer-exact.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import comb
 
 __all__ = [
-    "hamming_weight",
-    "binom",
-    "h_q",
     "weight_histogram",
+    "interval_histogram",
     "prefix_hq",
 ]
-
-
-def hamming_weight(i: int) -> int:
-    """Number of 1-bits in the binary representation of ``i``."""
-    if i < 0:
-        raise ValueError(f"hamming_weight requires i >= 0, got {i}")
-    return i.bit_count()
-
-
-def binom(m: int, q: int) -> int:
-    """Exact C(m, q); 0 when q < 0 or q > m."""
-    if m < 0:
-        raise ValueError(f"binom requires m >= 0, got {m}")
-    return comb(m, q) if q >= 0 else 0
-
-
-def h_q(i: int, q: int) -> int:
-    """C(h(i), q) where h(i) is the Hamming weight of ``i``.
-
-    Vanishes silently when q exceeds the weight of ``i``.
-    """
-    if q < 0:
-        raise ValueError(f"h_q requires q >= 0, got {q}")
-    return binom(hamming_weight(i), q)
 
 
 def weight_histogram(k: int) -> list[int]:
@@ -63,8 +39,21 @@ def weight_histogram(k: int) -> list[int]:
     return hist
 
 
+def interval_histogram(lo: int, hi: int) -> list[int]:
+    """``hist[w]`` = number of i in ``lo .. hi`` with Hamming weight w.
+
+    The difference of ``weight_histogram(hi + 1)`` and
+    ``weight_histogram(lo)``; it has ``(hi + 1).bit_length()`` entries,
+    of which the highest may be zero (``[8:8]`` gives ``[0, 1, 0, 0]``).
+    """
+    if lo < 0 or hi < lo:
+        raise ValueError(f"interval_histogram requires 0 <= lo <= hi, got [{lo}:{hi}]")
+    upper, lower = weight_histogram(hi + 1), weight_histogram(lo)
+    return [a - b for a, b in zip_longest(upper, lower, fillvalue=0)]
+
+
 def prefix_hq(k: int, q: int) -> int:
-    """Sum of h_q(i) over i = 0 .. k-1: sum of hist[w] * C(w, q).
+    """Sum of C(h(i), q) over i = 0 .. k-1: sum of hist[w] * C(w, q).
 
     ``hist`` is ``weight_histogram(k)``, so the cost is O(log^2 k) exact
     binomials, not one per integer below k.

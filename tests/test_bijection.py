@@ -1,6 +1,8 @@
 """Tests for special bijections and the weighted-sum inequality checks."""
 
 import random
+from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -243,6 +245,44 @@ class TestGInequality:
     def test_short_table_rejected(self):
         with pytest.raises(ValueError):
             check_g_inequality(Interval(0, 1), Interval(6, 7), [0, 1])
+
+    def test_short_table_rejected_on_source_weight(self):
+        # weight 3 occurs only in the source; the target [8:8] has weight 1
+        with pytest.raises(ValueError, match="need 3"):
+            check_g_inequality(Interval(7, 7), Interval(8, 8), [0, 1])
+
+    def test_zero_top_entries_need_no_table(self):
+        # [8:8] spans bit length 4 but only weight 1 occurs in it
+        res = check_g_inequality(Interval(8, 8), Interval(9, 9), [0, 1, 5])
+        assert (res.lhs, res.rhs, res.strict) == (1, 5, True)
+
+    @pytest.mark.parametrize("step", [
+        lambda rng: rng.randint(0, 9),
+        lambda rng: Fraction(rng.randint(0, 9), rng.randint(1, 4)),
+    ], ids=["int", "Fraction"])
+    def test_matches_per_element_sums(self, step):
+        # sources away from 0 and overlapping pairs, which no bijection
+        # argument covers, against sums over every integer
+        rng = random.Random(5)
+        for _ in range(300):
+            s = rng.randint(1, 80)
+            lo = rng.randint(1, 200)
+            j0 = rng.randint(lo + 1, lo + 2 * s)
+            I, J = Interval(lo, lo + s - 1), Interval(j0, j0 + s - 1)
+            g = list(accumulate(step(rng) for _ in range(10)))
+            lhs = sum(g[oracles.popcount(i)] for i in I)
+            rhs = sum(g[oracles.popcount(j)] for j in J)
+            res = check_g_inequality(I, J, g)
+            assert (res.lhs, res.rhs) == (lhs, rhs), (I, J, g)
+            assert (res.holds, res.strict) == (lhs <= rhs, lhs < rhs), (I, J, g)
+
+    def test_large_zero_based_source(self):
+        # 2^20 integers of the 20-cube: half of the 20 coordinates are 1 on average
+        s = 1 << 20
+        I, J = Interval(0, s - 1), Interval(s + 12345, 2 * s + 12344)
+        res = check_g_inequality(I, J, list(range(22)))
+        assert res.lhs == 20 * 2**19
+        assert res.holds and res.strict
 
     @pytest.mark.parametrize("q", range(7))
     def test_nondecreasing_families_hold_from_zero(self, q):

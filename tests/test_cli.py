@@ -127,6 +127,16 @@ class TestCount:
         )
         assert rc == 1 and out == ""
 
+    @pytest.mark.parametrize("dim, q, message", [
+        ("21", "1", "dim must be in [1, 20], got 21"),
+        ("3", "9", "q must be in [0, 3], got 9"),
+    ])
+    def test_usage_checked_before_file_is_opened(self, capsys, tmp_path, dim, q, message):
+        rc, out, err = invoke(
+            capsys, ["count", "--dim", dim, "--q", q, "--input", str(tmp_path / "nope")]
+        )
+        assert rc == 1 and out == "" and message in err
+
 
 class TestOptimal:
     def test_plain_value(self, capsys):

@@ -1,6 +1,7 @@
 """Tests for vertex sets, subcube kernels, splits, and the text format."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from cubeseg.cube import (
     three_term_report,
 )
 from cubeseg.oracle import brute_force_mq
-from cubeseg.weights import binom, prefix_hq
+from cubeseg.weights import prefix_hq
 
 import oracles
 
@@ -197,7 +198,7 @@ class TestCountingKernels:
     def test_full_cube_closed_form(self, n):
         full = VertexSet.from_bits(n, (1 << (1 << n)) - 1)
         for q in range(n + 1):
-            expected = binom(n, q) * 2 ** (n - q)
+            expected = comb(n, q) * 2 ** (n - q)
             assert count_subcubes_bitparallel(full, q) == expected
             if n <= 6:
                 assert count_subcubes_naive(full, q) == expected
@@ -212,7 +213,7 @@ class TestCountingKernels:
                 weights[oracles.popcount(i)] += 1
             S = initial_segment(k, n)
             for q in range(n + 1):
-                expected = sum(c * binom(w, q) for w, c in enumerate(weights))
+                expected = sum(c * comb(w, q) for w, c in enumerate(weights))
                 assert count_subcubes_bitparallel(S, q) == expected, (k, q)
 
     @pytest.mark.parametrize("seed", range(4))

@@ -1,6 +1,7 @@
 """Tests for the exhaustive k-subset oracle."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -10,7 +11,7 @@ from cubeseg.oracle import (
     brute_force_mq,
     is_optimal_set,
 )
-from cubeseg.weights import binom, prefix_hq
+from cubeseg.weights import prefix_hq
 
 import oracles
 
@@ -31,7 +32,7 @@ class TestBruteForce:
     def test_full_cube_closed_form(self, n):
         for q in range(n + 1):
             res = brute_force_mq(n, 2**n, q)
-            assert res.max_count == binom(n, q) * 2 ** (n - q)
+            assert res.max_count == comb(n, q) * 2 ** (n - q)
             assert res.total_subsets_scanned == 1
 
     @pytest.mark.parametrize("n", [*range(1, 7), 8, 10])
@@ -40,7 +41,7 @@ class TestBruteForce:
         # The complement walk scores each of the 2^n sets with one removal.
         for q in range(n + 1):
             res = brute_force_mq(n, 2**n - 1, q)
-            assert res.max_count == binom(n, q) * (2 ** (n - q) - 1)
+            assert res.max_count == comb(n, q) * (2 ** (n - q) - 1)
             assert res.total_subsets_scanned == 2**n
 
     def test_two_removed_from_the_8_cube(self):
@@ -49,7 +50,7 @@ class TestBruteForce:
         res = brute_force_mq(8, 254, 3, argmax_cap=1)
         assert res.max_count == prefix_hq(254, 3) == 1701
         assert res.matches_formula
-        assert res.total_subsets_scanned == binom(256, 2)
+        assert res.total_subsets_scanned == comb(256, 2)
         assert res.argmax_examples == (initial_segment(254, 8),)
 
     @pytest.mark.parametrize(

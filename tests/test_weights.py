@@ -1,4 +1,4 @@
-"""Tests for Hamming weights, binomials, and prefix sums."""
+"""Tests for weight histograms and prefix sums."""
 
 import math
 import random
@@ -7,75 +7,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from cubeseg.weights import binom, h_q, hamming_weight, prefix_hq, weight_histogram
+from cubeseg.weights import interval_histogram, prefix_hq, weight_histogram
 
 import oracles
-
-
-class TestHammingWeight:
-    def test_zero(self):
-        assert hamming_weight(0) == 0
-
-    def test_all_ones(self):
-        assert hamming_weight(7) == 3
-
-    def test_power_of_two_shift(self):
-        # 13 = 2^3 + 5 gains exactly one bit over 5
-        assert hamming_weight(13) == 1 + hamming_weight(5)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            hamming_weight(-1)
-
-    @given(st.integers(0, 2**60))
-    def test_doubling_recursion(self, i):
-        assert hamming_weight(2 * i) == hamming_weight(i)
-        assert hamming_weight(2 * i + 1) == hamming_weight(i) + 1
-
-    @given(st.integers(0, 2**60))
-    def test_matches_string_popcount(self, i):
-        assert hamming_weight(i) == oracles.popcount(i)
-
-
-class TestBinom:
-    @pytest.mark.parametrize("m", [0, 1, 5, 40])
-    def test_choose_zero(self, m):
-        assert binom(m, 0) == 1
-
-    def test_three_choose_two(self):
-        assert binom(3, 2) == 3
-
-    def test_q_above_m(self):
-        assert binom(0, 2) == 0
-
-    def test_q_negative(self):
-        assert binom(5, -1) == 0
-
-    def test_negative_m_rejected(self):
-        with pytest.raises(ValueError):
-            binom(-1, 0)
-
-    @given(st.integers(0, 200), st.integers(-5, 205))
-    def test_matches_math_comb(self, m, q):
-        expected = math.comb(m, q) if 0 <= q <= m else 0
-        assert binom(m, q) == expected
-
-
-class TestHq:
-    @given(st.integers(0, 2**20))
-    def test_q_zero_is_one(self, i):
-        assert h_q(i, 0) == 1
-
-    def test_examples(self):
-        assert h_q(6, 1) == 2
-        assert h_q(7, 2) == 3
-
-    def test_vanishes_above_weight(self):
-        assert h_q(7, 4) == 0
-
-    @given(st.integers(0, 2**16), st.integers(0, 20))
-    def test_matches_comb_of_popcount(self, i, q):
-        assert h_q(i, q) == math.comb(oracles.popcount(i), q)
 
 
 class TestPrefixHq:
@@ -161,10 +95,40 @@ class TestWeightHistogram:
             weight_histogram(-1)
 
 
+class TestIntervalHistogram:
+    def test_every_small_interval(self):
+        for lo in range(130):
+            counts = Counter()
+            for hi in range(lo, 130):
+                counts[oracles.popcount(hi)] += 1
+                hist = interval_histogram(lo, hi)
+                assert len(hist) == (hi + 1).bit_length(), (lo, hi)
+                assert hist == [counts[w] for w in range(len(hist))], (lo, hi)
+
+    def test_large_intervals_sum_to_their_size(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            lo = rng.randint(0, 10**30)
+            hi = rng.randint(lo, 10**30)
+            assert sum(interval_histogram(lo, hi)) == hi - lo + 1, (lo, hi)
+
+    def test_top_entries_may_be_zero(self):
+        assert interval_histogram(8, 8) == [0, 1, 0, 0]
+
+    def test_negative_lo_rejected(self):
+        with pytest.raises(ValueError):
+            interval_histogram(-1, 3)
+
+    def test_reversed_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            interval_histogram(5, 4)
+
+
 class TestPascalShift:
     def test_exhaustive_small(self):
-        # h_q(2^l + i) = h_q(i) + h_{q-1}(i) for i < 2^l
+        # C(h(2^l + i), q) = C(h(i), q) + C(h(i), q - 1) for i < 2^l
         for ell in range(9):
             for i in range(1 << ell):
+                w, shifted = oracles.popcount(i), oracles.popcount((1 << ell) + i)
                 for q in range(1, 7):
-                    assert h_q((1 << ell) + i, q) == h_q(i, q) + h_q(i, q - 1)
+                    assert math.comb(shifted, q) == math.comb(w, q) + math.comb(w, q - 1)
