@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -29,8 +28,6 @@ from . import cube, oracle, recursion
 from .weights import prefix_hq
 
 __all__ = ["main", "run"]
-
-ENV_BUDGET = "CUBESEG_BUDGET"
 
 
 class UsageError(Exception):
@@ -141,8 +138,8 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help=f"subset enumeration budget (default: {ENV_BUDGET} or {oracle.DEFAULT_BUDGET})",
+        default=oracle.DEFAULT_BUDGET,
+        help=f"subset enumeration budget (default: {oracle.DEFAULT_BUDGET})",
     )
     add_output(p)
 
@@ -190,8 +187,8 @@ def _cmd_count(ns) -> _Report:
 
 
 def _cmd_optimal(ns) -> _Report:
-    if ns.q < 0 or ns.q > ns.dim:
-        raise UsageError(f"--q must be in [0, {ns.dim}], got {ns.q}")
+    cube._check_dim(ns.dim)
+    cube._check_q(ns.q, ns.dim)
     segment = cube.initial_segment(ns.k, ns.dim)  # validates k against dim
     value = prefix_hq(ns.k, ns.q)
     if ns.emit_set:
@@ -200,18 +197,8 @@ def _cmd_optimal(ns) -> _Report:
 
 
 def _cmd_oracle(ns) -> _Report:
-    budget = ns.budget
-    if budget is None:
-        raw = os.environ.get(ENV_BUDGET)
-        if raw is not None:
-            try:
-                budget = int(raw)
-            except ValueError:
-                raise UsageError(f"{ENV_BUDGET} must be an integer, got {raw!r}")
-        else:
-            budget = oracle.DEFAULT_BUDGET
     result = oracle.brute_force_mq(
-        ns.dim, ns.k, ns.q, argmax_cap=ns.argmax_cap, budget=budget
+        ns.dim, ns.k, ns.q, argmax_cap=ns.argmax_cap, budget=ns.budget
     )
     formula = prefix_hq(ns.k, ns.q)
     argmax = [list(S) for S in result.argmax_examples]
@@ -307,10 +294,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         report = _HANDLERS[ns.command](ns)
-    except cube.VertexFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (cube.VertexFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except oracle.BudgetExceeded as exc:

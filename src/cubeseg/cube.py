@@ -77,13 +77,13 @@ def _check_dim(dim: int) -> None:
 class VertexSet:
     """An immutable subset of the n-cube's vertices.
 
-    Stores dimension, the indicator bitstring (bit v set iff vertex v is a
-    member), and the cached cardinality. Treated as immutable after
+    Stores dimension and the indicator bitstring (bit v set iff vertex v is
+    a member); the size is its popcount. Treated as immutable after
     construction; all operations on it are pure, so unrestricted concurrent
     reads are safe.
     """
 
-    __slots__ = ("dim", "_bits", "_card")
+    __slots__ = ("dim", "_bits")
 
     def __init__(self, dim: int, members: Iterable[int] = ()):
         _check_dim(dim)
@@ -95,10 +95,8 @@ class VertexSet:
             if v < 0 or v >= limit:
                 raise ValueError(f"vertex {v} outside [0, {limit - 1}] for dim {dim}")
             marks[v] = 1
-        bits = _indicator(marks)
         self.dim = dim
-        self._bits = bits
-        self._card = bits.bit_count()
+        self._bits = _indicator(marks)
 
     @classmethod
     def from_bits(cls, dim: int, bits: int) -> "VertexSet":
@@ -109,7 +107,6 @@ class VertexSet:
         self = cls.__new__(cls)
         self.dim = dim
         self._bits = bits
-        self._card = bits.bit_count()
         return self
 
     @property
@@ -138,7 +135,7 @@ class VertexSet:
             v = digits.find("1", v + 1)
 
     def __len__(self) -> int:
-        return self._card
+        return self._bits.bit_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VertexSet):

@@ -2,7 +2,8 @@
 
 The oracle enumerates every k-element vertex subset of the n-cube in
 lexicographic order and compares the maximum against the prefix-sum
-formula. It shares nothing with the two counting kernels. Subsets are
+formula. The scan shares nothing with the two counting kernels;
+``is_optimal_set`` checks one given set with the naive kernel. Subsets are
 walked as one chain of prefixes: all members but the last are pushed
 once per prefix, and the last member is scored over its whole range in
 one loop. There are two walks, and which one runs depends on (n, k)

@@ -172,6 +172,15 @@ class TestOptimal:
         rc, out, err = invoke(capsys, ["optimal", "--dim", "2", "--q", "1", "--k", "5"])
         assert rc == 1 and out == ""
 
+    def test_q_bound_worded_as_in_count(self, capsys, tmp_path):
+        missing = str(tmp_path / "nope")
+        for argv in (
+            ["optimal", "--dim", "3", "--q", "9", "--k", "1"],
+            ["count", "--dim", "3", "--q", "9", "--input", missing],
+        ):
+            rc, out, err = invoke(capsys, argv)
+            assert (rc, out, err) == (1, "", "error: q must be in [0, 3], got 9\n")
+
 
 class TestOracleCommand:
     def test_json_schema(self, capsys):
@@ -198,29 +207,25 @@ class TestOracleCommand:
         assert rc == 3 and out == ""
         assert "budget" in err
 
-    def test_env_budget_respected(self, capsys, monkeypatch):
+    def test_budget_ignores_environment(self, capsys, monkeypatch):
+        # The budget is set by --budget only; C(16, 8) = 12870 fits the default.
         monkeypatch.setenv("CUBESEG_BUDGET", "10")
-        rc, out, err = invoke(capsys, ["oracle", "--dim", "4", "--k", "8", "--q", "1"])
-        assert rc == 3 and out == ""
-
-    def test_budget_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUBESEG_BUDGET", "10")
-        rc, out, _ = invoke(
-            capsys,
-            ["oracle", "--dim", "2", "--k", "2", "--q", "1", "--budget", "100"],
+        rc, out, err = invoke(
+            capsys, ["oracle", "--dim", "4", "--k", "8", "--q", "1", "--output", "json"]
         )
+        assert rc == 0 and err == ""
+        assert json.loads(out)["scanned"] == 12870
+
+    def test_help_shows_budget_default(self, capsys):
+        rc, out, _ = invoke(capsys, ["oracle", "--help"])
         assert rc == 0
+        assert "(default: 20000000)" in " ".join(out.split())
 
     @pytest.mark.parametrize("dim", ["64", "20000"])
     def test_dim_beyond_cube_is_usage_error(self, capsys, dim):
         rc, out, err = invoke(capsys, ["oracle", "--dim", dim, "--k", "1", "--q", "0"])
         assert rc == 1 and out == ""
         assert "dim" in err
-
-    def test_invalid_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUBESEG_BUDGET", "plenty")
-        rc, out, err = invoke(capsys, ["oracle", "--dim", "2", "--k", "2", "--q", "1"])
-        assert rc == 1 and out == ""
 
 
 class TestBijectionCommand:

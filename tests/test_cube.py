@@ -238,6 +238,30 @@ class TestCountingKernels:
             )
             assert count_subcubes_bitparallel(S, q) == expected, q
 
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_random_down_sets_match_weight_sum(self, n):
+        # In a down-set D (closed under clearing bits) every q coordinates
+        # of a member v's ones span a q-subcube of D topped by v, so
+        # m_q(D) = sum over v in D of C(popcount(v), q).
+        rng = random.Random(n)
+        for _ in range(3):
+            members = set()
+            for _ in range(rng.randint(1, 4)):
+                ones = rng.sample(range(n), rng.randint(0, min(n, 12)))
+                g = sum(1 << r for r in ones)
+                sub = g
+                while True:  # every submask of g
+                    members.add(sub)
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & g
+            S = VertexSet(n, members)
+            for q in range(n + 1):
+                expected = sum(comb(oracles.popcount(v), q) for v in members)
+                assert count_subcubes_bitparallel(S, q) == expected, q
+                if n <= 8:
+                    assert count_subcubes_naive(S, q) == expected, q
+
     def test_invalid_q(self):
         S = VertexSet(3, [0])
         with pytest.raises(ValueError):

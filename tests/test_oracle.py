@@ -100,6 +100,22 @@ class TestBruteForce:
         # all four 3-subsets tie at 2 edges; the first two lex subsets win
         assert [S.members() for S in res.argmax_examples] == [(0, 1, 2), (0, 1, 3)]
 
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, k) for n in range(1, 4) for k in range(1, 2**n + 1)]
+        + [(4, k) for k in range(11, 17)]
+        + [(5, 30), (5, 31)],
+    )
+    def test_capped_argmax_is_prefix_of_uncapped(self, n, k):
+        # A cap keeps the first entries of the full list, in scan order.
+        # n <= 3 covers both walks; n = 4 at k >= 11 and n = 5 at k >= 30
+        # are complement walks where ties often outnumber the cap.
+        for q in range(n + 1):
+            full = brute_force_mq(n, k, q, argmax_cap=comb(2**n, k)).argmax_examples
+            for cap in range(4):
+                res = brute_force_mq(n, k, q, argmax_cap=cap)
+                assert res.argmax_examples == full[:cap], (q, cap)
+
     def test_argmax_cap_zero(self):
         res = brute_force_mq(2, 2, 1, argmax_cap=0)
         assert res.argmax_examples == ()
