@@ -47,8 +47,6 @@ from .recursion import (
     build_table,
     find_onlyif_counterexamples,
     hypercubic_partitions,
-    maximizers,
-    verify_corollary,
 )
 from .weights import prefix_hq, weight_histogram
 
@@ -82,14 +80,12 @@ __all__ = [
     "intervals_overlap",
     "is_optimal_set",
     "load_vertex_set",
-    "maximizers",
     "parse_vertex_set",
     "prefix_hq",
     "render_vertex_lines",
     "save_vertex_set",
     "split",
     "three_term_report",
-    "verify_corollary",
     "verify_special",
     "weight_histogram",
 ]

@@ -170,9 +170,7 @@ def _cmd_fq(ns) -> _Report:
     table = recursion.build_table(ns.q, ns.kmax)
     rows = []
     for k in range(1, ns.kmax + 1):
-        maxi = (
-            sorted(table.maximizer_sets[(ns.q, k)]) if ns.q >= 1 and k >= 2 else []
-        )
+        maxi = table.maximizer_sets[(ns.q, k)] if ns.q >= 1 and k >= 2 else []
         hyper = sorted(recursion.hypercubic_partitions(k)) if k >= 2 else []
         rows.append([ns.q, k, table.values[ns.q][k], maxi, hyper])
     return _table(["q", "k", "F", "maximizers", "hypercubic"], rows)

@@ -19,7 +19,9 @@ Two interchangeable counting kernels are provided:
 * ``count_subcubes_bitparallel`` walks the free-coordinate sets depth
   first, folding the indicator once per added coordinate and pruning a
   branch as soon as its fold is empty; a bit surviving q folds certifies
-  a whole subcube.
+  a whole subcube. Each fold keeps the positions whose added coordinate
+  is 0, through that coordinate's zero-side mask; the masks are cached
+  per (n, r), and ``split`` reads the same cache.
 """
 
 from __future__ import annotations
@@ -114,10 +116,6 @@ class VertexSet:
         """The indicator bitstring (bit v set iff v is a member)."""
         return self._bits
 
-    def members(self) -> tuple[int, ...]:
-        """All members in ascending order."""
-        return tuple(self)
-
     def __contains__(self, v: object) -> bool:
         if not isinstance(v, int) or isinstance(v, bool):
             return False
@@ -181,10 +179,10 @@ def initial_segment(k: int, n: int) -> VertexSet:
 
 
 @lru_cache(maxsize=256)
-def _coord_one_mask(n: int, r: int) -> int:
-    # Indicator over [0, 2^n) of the positions whose bit r is set:
-    # blocks of 2^r ones alternating with 2^r zeros, built by doubling.
-    block = ((1 << (1 << r)) - 1) << (1 << r)
+def _coord_zero_mask(n: int, r: int) -> int:
+    # Indicator over [0, 2^n) of the positions whose bit r is 0: blocks of
+    # 2^r ones alternating with 2^r zeros, from the bottom, built by doubling.
+    block = (1 << (1 << r)) - 1
     width = 1 << (r + 1)
     while width < (1 << n):
         block |= block << width
@@ -196,9 +194,8 @@ def split(S: VertexSet, r: int) -> tuple[VertexSet, VertexSet]:
     """Partition S into (S(r,0), S(r,1)) by the value of coordinate r."""
     if r < 0 or r >= S.dim:
         raise ValueError(f"coordinate r must be in [0, {S.dim - 1}], got {r}")
-    ones = _coord_one_mask(S.dim, r)
-    side1 = S._bits & ones
-    side0 = S._bits ^ side1
+    side0 = S._bits & _coord_zero_mask(S.dim, r)
+    side1 = S._bits ^ side0
     return VertexSet.from_bits(S.dim, side0), VertexSet.from_bits(S.dim, side1)
 
 
@@ -261,8 +258,7 @@ def count_subcubes_bitparallel(S: VertexSet, q: int) -> int:
     """
     _check_q(q, S.dim)
     n = S.dim
-    full = (1 << (1 << n)) - 1
-    zero = [full ^ _coord_one_mask(n, t) for t in range(n)]
+    zero = [_coord_zero_mask(n, t) for t in range(n)]
 
     def walk(folded: int, start: int, depth: int) -> int:
         if depth == q:

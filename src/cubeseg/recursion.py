@@ -15,6 +15,23 @@ in a block [a, b] scores at most lead(b) + F_q(k-a). A block whose bound
 falls below the score of one known split holds no maximizer and is
 skipped, which keeps the values and the maximizer sets exact.
 
+The closed form F_q(k) = sum over i < k of C(h(i), q), h the Hamming
+weight, also says which splits attain the maximum (the tail rule). For
+k' <= k/2 let
+
+    T(t) = #{j in [k-k', k) : h(j) >= t} - #{i in [0, k') : h(i) + 1 >= t}.
+
+F_q(k') + F_{q-1}(k') sums C(h(i) + 1, q) over i < k', and Abel summation
+with C(t, q) - C(t-1, q) = C(t-1, q-1) turns the loss of the split into
+
+    F_q(k) - F_q(k-k') - F_q(k') - F_{q-1}(k') = sum over t >= 1 of T(t) C(t-1, q-1).
+
+The strict special bijection [0, k') -> [k-k', k) of Graham's lemma maps
+the sources with h(i) + 1 >= t to distinct targets with h(j) >= t, so
+Hall's condition per threshold gives T(t) >= 0. As C(t-1, q-1) > 0 exactly
+when t >= q, k' maximizes F_q(k) exactly when T(t) = 0 for every t >= q;
+the maximizer sets grow with q.
+
 Independently of the recursion, a split (k-k1, k1) of k is *hypercubic*
 when k1 counts the members of {0, ..., k-1} having some fixed bit set;
 every hypercubic k1 is a maximizer, and for q = 1 the two sets coincide
@@ -31,9 +48,7 @@ __all__ = [
     "RecursionTable",
     "OnlyIfCounterexample",
     "build_table",
-    "maximizers",
     "hypercubic_partitions",
-    "verify_corollary",
     "find_onlyif_counterexamples",
 ]
 
@@ -129,15 +144,6 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
     return RecursionTable(qmax=qmax, kmax=kmax, values=values, maximizer_sets=maximizer_sets)
 
 
-def maximizers(q: int, k: int, table: RecursionTable) -> set[int]:
-    """All k' in [1, k//2] attaining F_q(k), read from the table."""
-    if q < 1 or q > table.qmax:
-        raise ValueError(f"q must be in [1, {table.qmax}], got {q}")
-    if k < 2 or k > table.kmax:
-        raise ValueError(f"k must be in [2, {table.kmax}], got {k}")
-    return set(table.maximizer_sets[(q, k)])
-
-
 def hypercubic_partitions(k: int) -> set[int]:
     """All light-side sizes of hypercubic partitions of k.
 
@@ -158,11 +164,6 @@ def hypercubic_partitions(k: int) -> set[int]:
             result.add(count)
         r += 1
     return result
-
-
-def verify_corollary(q: int, k: int, table: RecursionTable) -> bool:
-    """Whether every hypercubic light side of k maximizes F_q(k)."""
-    return hypercubic_partitions(k) <= maximizers(q, k, table)
 
 
 def find_onlyif_counterexamples(qmax: int, kmax: int) -> list[OnlyIfCounterexample]:

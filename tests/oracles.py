@@ -3,7 +3,8 @@
 Everything here is deliberately written against different primitives than
 the package under test (math.comb, string popcounts, itertools-based
 subcube generation, recursive-descent recursion evaluation, an unpruned
-scan of every split) so that an agreement between the two is meaningful.
+scan of every split, the tail rule for maximizer sets) so that an
+agreement between the two is meaningful.
 """
 
 from itertools import combinations, permutations, product
@@ -114,6 +115,40 @@ def recursion_table_full_scan(qmax: int, kmax: int):
             maximizer_sets[(q, k)] = tuple(args)
         values.append(row)
     return values, maximizer_sets
+
+
+def tail_rule_maximizer_sets(qmax: int, kmax: int) -> dict:
+    """``maximizer_sets`` of the max-recursion from the tail rule alone.
+
+    For each k, walks k' = 1 .. k//2 keeping
+    D[w] = #{j in [k-k', k) : h(j) = w} - #{i in [0, k') : h(i) + 1 = w};
+    each step adds j = k-k' and i = k'-1, two entries. k' maximizes
+    F_q(k) exactly when D[w] = 0 for every w >= q, so it lands in the
+    sets of every q above the top weight still unbalanced. No value of
+    the recursion is computed.
+    """
+    h = [popcount(i) for i in range(kmax)]
+    size = max(max(h) + 2, qmax + 1)
+    sets = {(q, k): [] for q in range(1, qmax + 1) for k in range(2, kmax + 1)}
+    for k in range(2, kmax + 1):
+        D = [0] * size
+        high = 0  # how many w >= qmax have D[w] != 0
+        for kp in range(1, k // 2 + 1):
+            w = h[k - kp]
+            D[w] += 1
+            if w >= qmax:
+                high += (D[w] == 1) - (D[w] == 0)
+            w = h[kp - 1] + 1
+            D[w] -= 1
+            if w >= qmax:
+                high += (D[w] == -1) - (D[w] == 0)
+            if high == 0:
+                top = qmax - 1
+                while top > 0 and D[top] == 0:
+                    top -= 1
+                for q in range(top + 1, qmax + 1):
+                    sets[(q, k)].append(kp)
+    return {key: tuple(args) for key, args in sets.items()}
 
 
 def ones_below(k: int, r: int) -> int:

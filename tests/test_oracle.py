@@ -73,7 +73,7 @@ class TestBruteForce:
             best = max(counts.values())
             res = brute_force_mq(n, k, q, argmax_cap=len(counts) + 1)
             assert res.max_count == best
-            assert [S.members() for S in res.argmax_examples] == [
+            assert [tuple(S) for S in res.argmax_examples] == [
                 combo for combo, count in counts.items() if count == best
             ]
 
@@ -98,7 +98,7 @@ class TestBruteForce:
     def test_argmax_is_lexicographically_capped(self):
         res = brute_force_mq(2, 3, 1, argmax_cap=2)
         # all four 3-subsets tie at 2 edges; the first two lex subsets win
-        assert [S.members() for S in res.argmax_examples] == [(0, 1, 2), (0, 1, 3)]
+        assert [tuple(S) for S in res.argmax_examples] == [(0, 1, 2), (0, 1, 3)]
 
     @pytest.mark.parametrize(
         "n,k",

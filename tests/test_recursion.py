@@ -8,8 +8,6 @@ from cubeseg.recursion import (
     build_table,
     find_onlyif_counterexamples,
     hypercubic_partitions,
-    maximizers,
-    verify_corollary,
 )
 from cubeseg.weights import prefix_hq
 
@@ -81,22 +79,27 @@ class TestBuildTable:
 
 class TestMaximizers:
     def test_known_sets(self, table):
-        assert maximizers(1, 6, table) == {2, 3}
-        assert maximizers(2, 8, table) == {4}
-        assert maximizers(3, 11, table) == {1, 2, 3, 4, 5}
+        assert table.maximizer_sets[(1, 6)] == (2, 3)
+        assert table.maximizer_sets[(2, 8)] == (4,)
+        assert table.maximizer_sets[(3, 11)] == (1, 2, 3, 4, 5)
 
     def test_matches_recursive_descent(self, table):
         for q in range(1, 4):
             for k in range(2, 40):
-                assert maximizers(q, k, table) == oracles.recursion_argmax(q, k)
+                maxi = table.maximizer_sets[(q, k)]
+                assert maxi == tuple(sorted(oracles.recursion_argmax(q, k)))
 
     def test_out_of_range(self, table):
-        with pytest.raises(ValueError):
-            maximizers(0, 5, table)
-        with pytest.raises(ValueError):
-            maximizers(1, 1, table)
-        with pytest.raises(ValueError):
-            maximizers(1, 100, table)
+        # q = 0, k = 1 and k past kmax have no maximizer set
+        for key in [(0, 5), (1, 1), (1, 65), (5, 10)]:
+            with pytest.raises(KeyError):
+                table.maximizer_sets[key]
+
+    # The tail rule (module docstring of cubeseg.recursion), evaluated
+    # without the recursion, against the exact sets of the table.
+    def test_tail_rule(self):
+        expected = oracles.tail_rule_maximizer_sets(8, 1024)
+        assert build_table(8, 1024).maximizer_sets == expected
 
 
 class TestHypercubicPartitions:
@@ -129,17 +132,6 @@ class TestHypercubicPartitions:
                 assert k - (1 << r) in hypercubic_partitions(k)
 
 
-class TestCorollary:
-    @pytest.mark.parametrize("q,k", [(1, 6), (2, 8), (3, 11)])
-    def test_known_cases(self, table, q, k):
-        assert verify_corollary(q, k, table)
-
-    def test_sweep_small(self, table):
-        for q in range(1, 5):
-            for k in range(2, 65):
-                assert verify_corollary(q, k, table)
-
-
 class TestOnlyIfCounterexamples:
     def test_q1_has_none(self):
         assert find_onlyif_counterexamples(1, 256) == []
@@ -161,9 +153,10 @@ class TestOnlyIfCounterexamples:
         small = build_table(3, 16)
         for rec in records:
             # one inclusion still holds: excess never removes hypercubic sizes
-            assert verify_corollary(rec.q, rec.k, small)
+            maxi = set(small.maximizer_sets[(rec.q, rec.k)])
+            assert hypercubic_partitions(rec.k) <= maxi
             excess = set(rec.non_hypercubic_maximizers)
-            assert excess <= maximizers(rec.q, rec.k, small)
+            assert excess <= maxi
             assert not excess & hypercubic_partitions(rec.k)
 
     def test_invalid_bounds(self):
