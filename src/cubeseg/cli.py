@@ -187,10 +187,10 @@ def _cmd_count(ns) -> _Report:
 def _cmd_optimal(ns) -> _Report:
     cube._check_dim(ns.dim)
     cube._check_q(ns.q, ns.dim)
-    segment = cube.initial_segment(ns.k, ns.dim)  # validates k against dim
+    cube._check_k(ns.k, ns.dim)
     value = prefix_hq(ns.k, ns.q)
     if ns.emit_set:
-        cube.save_vertex_set(segment, ns.emit_set, ns.input_format)
+        cube.save_vertex_set(cube.initial_segment(ns.k, ns.dim), ns.emit_set, ns.input_format)
     return _Report({"optimal_count": value}, [["optimal_count"], [value]], [[value]])
 
 

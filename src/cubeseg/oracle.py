@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .cube import VertexSet, _check_dim, _check_q, count_subcubes_naive
+from .cube import VertexSet, _check_dim, _check_k, _check_q, count_subcubes_naive
 from .weights import prefix_hq
 
 __all__ = [
@@ -95,9 +95,8 @@ def brute_force_mq(
     exceeds the budget.
     """
     _check_dim(n)  # before 1 << n, which a huge n would make unaffordable
+    _check_k(k, n)
     size = 1 << n
-    if k < 1 or k > size:
-        raise ValueError(f"k must be in [1, 2^{n}], got {k}")
     _check_q(q, n)
     if argmax_cap < 0:
         raise ValueError(f"argmax_cap must be >= 0, got {argmax_cap}")

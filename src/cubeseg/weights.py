@@ -4,7 +4,8 @@ Three functions: ``weight_histogram(k)`` counts each Hamming weight among
 ``0 .. k-1``, ``interval_histogram(lo, hi)`` among ``lo .. hi``, and
 ``prefix_hq(k, q)`` is the sum of C(h(i), q) over i < k. The histogram of
 ``0 .. k-1`` is read off the set bits of k in O(log^2 k) binomials from
-``math.comb``; everything is integer-exact.
+``math.comb``; ``prefix_hq`` sums each set bit's block of that histogram
+in closed form, in O(q log k) binomials. Everything is integer-exact.
 """
 
 from __future__ import annotations
@@ -53,13 +54,24 @@ def interval_histogram(lo: int, hi: int) -> list[int]:
 
 
 def prefix_hq(k: int, q: int) -> int:
-    """Sum of C(h(i), q) over i = 0 .. k-1: sum of hist[w] * C(w, q).
+    """Sum of C(h(i), q) over i = 0 .. k-1, in O(q log k) exact binomials.
 
-    ``hist`` is ``weight_histogram(k)``, so the cost is O(log^2 k) exact
-    binomials, not one per integer below k.
+    Each set bit b of k, with ``above`` set bits of k higher than it,
+    contributes the block that ``weight_histogram`` counts: C(b, t)
+    integers of weight ``above + t``. Vandermonde's identity,
+    C(above + t, q) = sum_j C(above, q - j) C(t, j), and
+    sum_t C(b, t) C(t, j) = C(b, j) 2^(b - j) turn the block's sum of
+    C(b, t) C(above + t, q) into sum_j C(above, q - j) C(b, j) 2^(b - j).
     """
     if k < 1:
         raise ValueError(f"prefix_hq requires k >= 1, got {k}")
     if q < 0:
         raise ValueError(f"prefix_hq requires q >= 0, got {q}")
-    return sum(count * comb(w, q) for w, count in enumerate(weight_histogram(k)))
+    total = 0
+    above = 0
+    for b in reversed(range(k.bit_length())):
+        if k >> b & 1:
+            for j in range(max(0, q - above), min(q, b) + 1):
+                total += comb(above, q - j) * comb(b, j) << (b - j)
+            above += 1
+    return total

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubeseg.cube import (
+    _CHUNK,
     DegenerateSplit,
     VertexFormatError,
     VertexSet,
@@ -109,6 +110,17 @@ class TestVertexSet:
         S = VertexSet.from_bits(n, bits)
         assert list(S) == members
         assert list(VertexSet.from_bits(n, 0)) == []
+
+    @pytest.mark.parametrize("n", [1, 7, 20])
+    def test_iteration_lists_sorted_members(self, n):
+        top = 2**n - 1
+        assert list(VertexSet(n, [])) == []
+        assert list(VertexSet.from_bits(n, (1 << 2**n) - 1)) == list(range(2**n))
+        assert list(VertexSet(n, [top])) == [top]
+        rng = random.Random(n)
+        for _ in range(5):
+            members = rng.sample(range(2**n), rng.randint(0, min(2**n, 5000)))
+            assert list(VertexSet(n, members)) == sorted(members)
 
     def test_repr_lists_at_most_twelve_members(self):
         assert repr(VertexSet(3, [5, 0, 2])) == "VertexSet(dim=3, {0,2,5})"
@@ -452,6 +464,94 @@ class TestTextFormat:
             save_vertex_set(S, path, fmt)
             assert path.read_bytes() == text.encode("ascii"), fmt
             assert load_vertex_set(path, n, fmt) == S, fmt
+
+    def test_render_matches_per_member_reference(self):
+        n = 20
+        rng = random.Random(14)
+        for size in (0, 1, 4000, 70000):
+            members = sorted(rng.sample(range(2**n), size))
+            S = VertexSet(n, members)
+            assert render_vertex_lines(S) == [str(v) for v in members]
+            assert render_vertex_lines(S, "binary") == [
+                format(v, "020b") for v in members
+            ]
+
+    # Lines are parsed _CHUNK at a time: every error and every skipped line
+    # must be placed the same way past the first chunk.
+    def test_bad_lines_past_the_first_chunk(self):
+        lines = [str(v) for v in range(_CHUNK + 5)]
+        lines[_CHUNK + 2] = "x"
+        with pytest.raises(
+            VertexFormatError,
+            match=rf"^line {_CHUNK + 3}: 'x' is not a non-negative decimal integer$",
+        ):
+            parse_vertex_set(lines, 12)
+        lines[_CHUNK + 2] = "4096"
+        with pytest.raises(
+            VertexFormatError,
+            match=rf"^line {_CHUNK + 3}: vertex 4096 outside \[0, 4095\] for dim 12$",
+        ):
+            parse_vertex_set(lines, 12)
+        binary = [format(v, "012b") for v in range(2 * _CHUNK + 1)]
+        binary[2 * _CHUNK] = "1" * 13
+        with pytest.raises(
+            VertexFormatError,
+            match=rf"^line {2 * _CHUNK + 1}: '1{{13}}' is not a 12-character binary string$",
+        ):
+            parse_vertex_set(binary, 12, "binary")
+
+    def test_duplicate_of_an_earlier_chunk(self):
+        lines = [str(v) for v in range(_CHUNK + 10)] + ["3"]
+        with pytest.raises(
+            VertexFormatError, match=rf"^line {_CHUNK + 11}: duplicate vertex 3$"
+        ):
+            parse_vertex_set(lines, 12)
+        binary = [format(v, "012b") for v in range(2 * _CHUNK + 1)] + ["000000000011"]
+        with pytest.raises(
+            VertexFormatError, match=rf"^line {2 * _CHUNK + 2}: duplicate vertex 3$"
+        ):
+            parse_vertex_set(binary, 12, "binary")
+
+    def test_long_leading_zero_line_in_a_later_chunk(self):
+        lines = [str(v) for v in range(1, _CHUNK + 3)] + ["0" * 30 + "4000", "0" * 5000]
+        expected = {0, 4000} | set(range(1, _CHUNK + 3))
+        assert parse_vertex_set(lines, 12) == VertexSet(12, expected)
+
+    def test_skipped_lines_shift_numbers_across_chunks(self):
+        # a comment, then a blank line after every 7th vertex
+        lines = ["# header"]
+        for v in range(3 * _CHUNK):
+            lines.append(str(v))
+            if v % 7 == 6:
+                lines.append("   ")
+        assert parse_vertex_set(lines, 12) == VertexSet(12, range(3 * _CHUNK))
+        bad = len(lines) - 5
+        lines[bad] = "# not a vertex"
+        lines.insert(bad, "2.5")
+        with pytest.raises(
+            VertexFormatError,
+            match=rf"^line {bad + 1}: '2.5' is not a non-negative decimal integer$",
+        ):
+            parse_vertex_set(lines, 12)
+
+    def test_crlf_and_missing_final_newline(self, tmp_path):
+        members = range(2 * _CHUNK + 7)
+        expected = VertexSet(12, members)
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(b"".join(b"%d\r\n" % v for v in members))
+        assert load_vertex_set(path, 12) == expected
+        path.write_bytes(b"\n".join(b"%d" % v for v in members))
+        assert load_vertex_set(path, 12) == expected
+        path.write_bytes(b"\n".join(format(v, "012b").encode() for v in members))
+        assert load_vertex_set(path, 12, "binary") == expected
+
+    def test_bad_utf8_after_the_first_chunk(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(
+            b"".join(b"%d\n" % v for v in range(3 * _CHUNK)) + b"# caf\xe9\n"
+        )
+        with pytest.raises(VertexFormatError, match="not valid UTF-8"):
+            load_vertex_set(path, 12)
 
     @settings(max_examples=40)
     @given(vertex_sets(max_dim=6))

@@ -47,6 +47,13 @@ class TestPrefixHq:
                 totals[q] += math.comb(w, q)
             for q in range(13):
                 assert prefix_hq(i + 1, q) == totals[q], (i + 1, q)
+        # and huge k, where q reaches past some blocks' weights, against
+        # the weight histogram's sum term by term
+        for k in (10**100, 2**300 - 1, 2**300 + 1):
+            hist = weight_histogram(k)
+            for q in (0, 1, 2, 50, 166, 300):
+                expected = sum(c * math.comb(w, q) for w, c in enumerate(hist))
+                assert prefix_hq(k, q) == expected, (k, q)
 
     def test_doubling_identities(self):
         # h(2i) = h(i) and h(2i+1) = h(i) + 1 give
