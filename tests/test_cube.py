@@ -216,14 +216,13 @@ class TestCountingKernels:
     @pytest.mark.parametrize("n", [*range(1, 15), 20])
     def test_full_cube_closed_form(self, n):
         full = VertexSet.from_bits(n, (1 << (1 << n)) - 1)
-        # At n = 20 only the ends of the q range: a middle q takes seconds.
-        for q in range(n + 1) if n <= 14 else (0, 1, n - 1, n):
+        for q in range(n + 1):
             expected = comb(n, q) * 2 ** (n - q)
             assert count_subcubes_bitparallel(full, q) == expected
             if n <= 6:
                 assert count_subcubes_naive(full, q) == expected
 
-    @pytest.mark.parametrize("n", [12, 14, 16])
+    @pytest.mark.parametrize("n", [12, 14, 16, 18, 20])
     def test_large_initial_segments_match_weight_histogram(self, n):
         # m_q of {0..k-1} is the sum over i < k of C(popcount(i), q).
         rng = random.Random(n)
@@ -235,6 +234,34 @@ class TestCountingKernels:
             for q in range(n + 1):
                 expected = sum(c * comb(w, q) for w, c in enumerate(weights))
                 assert count_subcubes_bitparallel(S, q) == expected, (k, q)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_peeled_halves_match_naive(self, n):
+        # Sets whose top halves are empty or full for one or more splits,
+        # so the bit-parallel kernel peels before (or instead of) folding.
+        rng = random.Random(100 + n)
+        size, half = 1 << n, 1 << (n - 1)
+        for _ in range(3):
+            k = rng.randint(1, size)
+            free = [r for r in range(n) if rng.random() < 0.5]
+            subcube = [rng.getrandbits(n) & ~sum(1 << r for r in free)]
+            for r in free:
+                subcube += [v | 1 << r for v in subcube]
+            cases = {
+                "segment, one vertex flipped": ((1 << k) - 1) ^ (1 << rng.randrange(size)),
+                "full top half": ((1 << half) - 1) << half | rng.getrandbits(half),
+                "full bottom half": (1 << half) - 1 | rng.getrandbits(half) << half,
+                "final segment": (1 << size) - (1 << (k - 1)),
+                "subcube": VertexSet(n, subcube).bits,
+                "upper half only": rng.getrandbits(half) << half,
+            }
+            for name, bits in cases.items():
+                S = VertexSet.from_bits(n, bits)
+                for q in range(n + 1):
+                    fast = count_subcubes_bitparallel(S, q)
+                    assert fast == count_subcubes_naive(S, q), (name, bits, q)
+                    if n <= 6:
+                        assert fast == oracles.subcube_count(S, n, q), (name, bits, q)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_products_match_factor_counts(self, seed):
