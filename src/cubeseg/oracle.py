@@ -4,25 +4,26 @@ The oracle enumerates every k-element vertex subset of the n-cube in
 lexicographic order and compares the maximum against the prefix-sum
 formula. The scan shares nothing with the two counting kernels;
 ``is_optimal_set`` checks one given set with the naive kernel. Subsets are
-walked as one chain of prefixes: all members but the last are pushed
-once per prefix, and the last member is scored over its whole range in
-one loop. There are two walks, and which one runs depends on (n, k)
-alone:
+walked as a recursion over the tree of their prefixes: each call picks
+the next member and passes the new prefix's indicator and count down, so
+the call stack holds the prefix and each prefix is pushed once. The call
+that picks the last member scores it over its whole range in one loop.
+There are two walks, and which one runs depends on (n, k) alone:
 
 * The forward walk pushes the members of S. Pushing a vertex v adds the
   number of q-subcubes inside the prefix whose highest vertex is v, which
   is the per-vertex reading of the paper's sum over i < k of C(h(i), q).
-* The complement walk, for k near 2^n, pushes the removed set T, which
+* The complement walk, for k near 2^n, picks the removed set T, which
   has r = 2^n - k members. It starts from the C(n, q) * 2^(n-q) subcubes
   of the whole cube, and removing u subtracts the q-subcubes inside the
-  current set that contain u. A near-full scan thus pushes at most
-  r - 1 vertices per prefix instead of k - 1.
+  current set that contain u, counted before u is removed. A near-full
+  scan thus recurses r - 1 calls deep instead of k - 1.
 
 Both visit the sets in the same order. S1 < S2 exactly when the smallest
 element of S1 △ S2 lies in S1, and S1 △ S2 = T1 △ T2, so S ascending is
-T descending. The complement walk takes T in reverse lexicographic order,
-and the counts and the capped argmax list are the same as the forward
-walk's.
+T descending. The complement walk picks each member of T downward, which
+takes T in reverse lexicographic order, and the counts and the capped
+argmax list are the same as the forward walk's.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ __all__ = [
 DEFAULT_BUDGET = 20_000_000
 DEFAULT_ARGMAX_CAP = 4
 
+# Largest scan started whatever the budget. The walks recurse once per
+# member they pick, and C(2^n, k) >= 2^depth for every n <= 20, so no scan
+# of at most 2^64 subsets nests more than 41 calls (n = 6, k = 42).
+_MAX_SCAN = 1 << 64
+
 
 class BudgetExceeded(Exception):
     """The subset space is larger than the enumeration budget allows."""
@@ -53,9 +59,10 @@ class BudgetExceeded(Exception):
     def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"enumeration needs {required} subsets, budget allows {budget}"
-        )
+        # str() refuses integers past the interpreter's digit limit, and
+        # C(2^16, 2^15) has ~19,700 digits: past 2^64, name the power of two
+        needs = required if required <= _MAX_SCAN else f"more than 2^{required.bit_length() - 1}"
+        super().__init__(f"enumeration needs {needs} subsets, budget allows {budget}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,11 @@ def brute_force_mq(
     vertices in reverse lexicographic order instead, which is the same
     order of the sets (see the module docstring); the switch depends on
     (n, k) alone and was placed where the two walks cost the same at
-    n = 3 and 4. Raises BudgetExceeded before any work if C(2^n, k)
-    exceeds the budget.
+    n = 3 and 4. Both walks recurse over the prefix tree, one call per
+    picked member: k - 1 calls deep forward, 2^n - k - 1 on the complement.
+    Raises BudgetExceeded before any work if C(2^n, k) exceeds the budget
+    or 2^64, whatever the budget; within 2^64 subsets the recursion is at
+    most 41 calls deep (n = 6, k = 42), far below the interpreter's limit.
     """
     _check_dim(n)  # before 1 << n, which a huge n would make unaffordable
     _check_k(k, n)
@@ -103,8 +113,9 @@ def brute_force_mq(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     required = comb(size, k)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
+    bound = min(budget, _MAX_SCAN)
+    if required > bound:
+        raise BudgetExceeded(required, bound)
 
     if 3 * k > 2 * size:
         best, examples, scanned = _complement_walk(n, k, q, argmax_cap)
@@ -125,101 +136,69 @@ def brute_force_mq(
 def _forward_walk(
     n: int, k: int, q: int, cap: int
 ) -> tuple[int, list[VertexSet], int]:
-    # combo holds members 0..k-2 of the current subset, bits their
-    # indicator and counts[d] the m_q of the first d. Advancing at
-    # position i keeps counts[..i] and pushes the new suffix; the last
-    # member then runs over every vertex above combo[-1].
     size = 1 << n
-    last = k - 1
-    top = size - k  # position i ends its run at value i + top
-    combo = list(range(last))
-    counts = [0] * k
-    bits = 0
     best = -1
     examples: list[VertexSet] = []
     scanned = 0
-    i = 0
-    while True:
-        for d in range(i, last):
-            v = combo[d]
-            bits |= 1 << v
-            counts[d + 1] = counts[d] + (_grow(bits, 1, v, v, v, q) if q else 1)
-        base = counts[last]
-        first = combo[-1] + 1 if last else 0
-        scanned += size - first
-        for v in range(first, size):
+
+    def push(bits: int, count: int, start: int, left: int) -> None:
+        # Members from ``start`` up; ``bits`` and ``count`` are the prefix's
+        # indicator and m_q, and ``left`` members remain to be picked.
+        nonlocal best, examples, scanned
+        if left == 1:
+            scanned += size - start
+            for v in range(start, size):
+                bits_v = bits | 1 << v
+                total = count + (_grow(bits_v, 1, v, v, v, q) if q else 1)
+                if total >= best:
+                    if total > best:
+                        best = total
+                        examples = []
+                    if len(examples) < cap:
+                        examples.append(VertexSet.from_bits(n, bits_v))
+            return
+        for v in range(start, size - left + 1):
             bits_v = bits | 1 << v
-            count = base + (_grow(bits_v, 1, v, v, v, q) if q else 1)
-            if count >= best:
-                if count > best:
-                    best = count
-                    examples = []
-                if len(examples) < cap:
-                    examples.append(VertexSet.from_bits(n, bits_v))
-        i = last - 1
-        while i >= 0 and combo[i] == i + top:
-            i -= 1
-        if i < 0:
-            return best, examples, scanned
-        v = combo[i]
-        bits &= (1 << v) - 1  # members i..k-2 are the ones >= combo[i]
-        for d in range(i, last):
-            v += 1
-            combo[d] = v
+            push(bits_v, count + (_grow(bits_v, 1, v, v, v, q) if q else 1), v + 1, left - 1)
+
+    push(0, 0, 0, k)
+    return best, examples, scanned
 
 
 def _complement_walk(
     n: int, k: int, q: int, cap: int
 ) -> tuple[int, list[VertexSet], int]:
-    # The removed set T in reverse lexicographic order: combo holds
-    # members 0..r-2 of T, bits the indicator of the cube without them and
-    # counts[d] the m_q left after removing the first d. Lowering position
-    # i by one keeps counts[..i], puts every vertex >= its old value back
-    # and pushes the suffix at its largest values; the last member of T
-    # then runs down over every vertex above combo[-1].
     size = 1 << n
     full = (1 << size) - 1
     whole = comb(n, q) << (n - q)
-    r = size - k
-    if r == 0:
+    if k == size:
         return whole, [VertexSet.from_bits(n, full)] if cap else [], 1
-    last = r - 1
-    top = size - r  # position i starts its run at value i + top
-    coords = (1 << n) - 1  # any coordinate may be freed around a removed vertex
-    combo = list(range(top, top + last))
-    counts = [whole] + [0] * last
-    bits = full
+    coords = size - 1  # any coordinate may be freed around a removed vertex
     best = -1
     examples: list[VertexSet] = []
     scanned = 0
-    i = 0
-    while True:
-        for d in range(i, last):
-            u = combo[d]
+
+    def remove(bits: int, count: int, start: int, left: int) -> None:
+        # Removed vertices from 2^n - left down to ``start``; ``bits`` and
+        # ``count`` are the set left by the removed prefix and its m_q.
+        nonlocal best, examples, scanned
+        if left == 1:
+            scanned += size - start
+            for u in range(size - 1, start - 1, -1):
+                total = count - (_grow(bits, 1, u, u, coords, q) if q else 1)
+                if total >= best:
+                    if total > best:
+                        best = total
+                        examples = []
+                    if len(examples) < cap:
+                        examples.append(VertexSet.from_bits(n, bits ^ 1 << u))
+            return
+        for u in range(size - left, start - 1, -1):
             through = _grow(bits, 1, u, u, coords, q) if q else 1
-            counts[d + 1] = counts[d] - through
-            bits ^= 1 << u
-        base = counts[last]
-        stop = combo[-1] if last else -1
-        scanned += size - 1 - stop
-        for u in range(size - 1, stop, -1):
-            count = base - (_grow(bits, 1, u, u, coords, q) if q else 1)
-            if count >= best:
-                if count > best:
-                    best = count
-                    examples = []
-                if len(examples) < cap:
-                    examples.append(VertexSet.from_bits(n, bits ^ 1 << u))
-        i = last - 1
-        while i >= 0 and combo[i] - 1 == (combo[i - 1] if i else -1):
-            i -= 1
-        if i < 0:
-            return best, examples, scanned
-        u = combo[i]
-        bits |= full ^ ((1 << u) - 1)  # members i..r-2 are the ones >= combo[i]
-        combo[i] = u - 1
-        for d in range(i + 1, last):
-            combo[d] = top + d
+            remove(bits ^ 1 << u, count - through, u + 1, left - 1)
+
+    remove(full, whole, 0, size - k)
+    return best, examples, scanned
 
 
 def _grow(bits: int, cube: int, low: int, u: int, rest: int, q: int) -> int:

@@ -207,6 +207,22 @@ class TestOracleCommand:
         assert rc == 3 and out == ""
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 10^700 covers C(2048, 1024), but the oracle starts no scan of
+            # more than 2^64 subsets
+            ["--dim", "11", "--k", "1024", "--q", "1", "--budget", str(10**700)],
+            # C(2^16, 2^15) has more digits than str() prints
+            ["--dim", "16", "--k", "32768", "--q", "1"],
+        ],
+    )
+    def test_scan_bound_beyond_any_budget(self, capsys, argv):
+        rc, out, err = invoke(capsys, ["oracle", *argv])
+        assert rc == 3 and out == ""
+        assert err.startswith("budget exceeded: enumeration needs more than 2^")
+        assert err.count("\n") == 1
+
     def test_budget_ignores_environment(self, capsys, monkeypatch):
         # The budget is set by --budget only; C(16, 8) = 12870 fits the default.
         monkeypatch.setenv("CUBESEG_BUDGET", "10")

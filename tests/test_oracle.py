@@ -8,6 +8,8 @@ import pytest
 from cubeseg.cube import VertexSet, initial_segment
 from cubeseg.oracle import (
     BudgetExceeded,
+    _complement_walk,
+    _forward_walk,
     brute_force_mq,
     is_optimal_set,
 )
@@ -88,6 +90,22 @@ class TestBruteForce:
         assert exc.value.required == 12870
         assert exc.value.budget == 100
 
+    def test_scan_bound_holds_whatever_the_budget(self):
+        # C(2048, 1024) ~ 10^614 fits this budget, but no scan past 2^64
+        # subsets starts: the forward walk would recurse 1023 calls deep.
+        with pytest.raises(BudgetExceeded) as exc:
+            brute_force_mq(11, 1024, 1, budget=10**700)
+        assert exc.value.required == comb(2048, 1024)
+        assert exc.value.budget == 2**64
+        assert str(exc.value) == f"enumeration needs more than 2^2042 subsets, budget allows {2**64}"
+        # a budget past the bound still runs every scan within it
+        assert brute_force_mq(4, 8, 1, budget=2**70).total_subsets_scanned == 12870
+
+    def test_count_past_the_digit_limit_is_refused(self):
+        # C(2^16, 2^15) has ~19,700 decimal digits, more than str() prints
+        with pytest.raises(BudgetExceeded, match=r"needs more than 2\^65527 subsets"):
+            brute_force_mq(16, 2**15, 1)
+
     def test_initial_segment_leads_argmax(self):
         for n in range(1, 4):
             for k in range(1, 2**n + 1):
@@ -115,6 +133,21 @@ class TestBruteForce:
             for cap in range(4):
                 res = brute_force_mq(n, k, q, argmax_cap=cap)
                 assert res.argmax_examples == full[:cap], (q, cap)
+
+    @pytest.mark.parametrize(
+        "n,k,cap",
+        [(n, k, None) for n in range(1, 4) for k in range(1, 2**n + 1)]
+        + [(4, k, cap) for k in (*range(1, 6), *range(12, 17)) for cap in (0, 3)]
+        + [(5, k, 2) for k in (1, 2, 3, 29, 30, 31, 32)],
+    )
+    def test_walks_agree_across_the_switch(self, n, k, cap):
+        # Each walk checks the other outside the range where it runs:
+        # (best, argmax list, scanned) must be identical on both sides of
+        # 3k > 2^(n+1). None is uncapped.
+        if cap is None:
+            cap = comb(2**n, k)
+        for q in range(n + 1):
+            assert _forward_walk(n, k, q, cap) == _complement_walk(n, k, q, cap), q
 
     def test_argmax_cap_zero(self):
         res = brute_force_mq(2, 2, 1, argmax_cap=0)
