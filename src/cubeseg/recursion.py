@@ -11,9 +11,24 @@ maximizing k'.
 Every row is nondecreasing in k: F_q(1) = 0 <= F_q(2), and a maximizer k'
 of F_q(k) is admissible for k+1, where F_q(k+1-k') >= F_q(k-k') by induction.
 So with lead(k') = F_q(k') + F_{q-1}(k'), also nondecreasing, every split
-in a block [a, b] scores at most lead(b) + F_q(k-a). A block whose bound
-falls below the score of one known split holds no maximizer and is
-skipped, which keeps the values and the maximizer sets exact.
+of k scores at most lead(k/2) + F_q(k-1).
+
+The table builder compares every split of k at once with the score s of
+one split, in three packed integers. In each, field i of w bits, w a
+multiple of 8, stands for k' = i + 1: the first holds lead(k') + 2^(w-1),
+the second F_q(k-k'), shifted by one field per k, and the third a 1. The
+first plus the second minus s times the third holds
+
+    lead(k') + F_q(k-k') + 2^(w-1) - s
+
+in field i. While the bound above is below 2^(w-1), so is s, and that
+value lies in (0, 2^w): no field carries into or borrows from the next,
+and the top bit of field i, its guard bit, is set exactly when k' scores
+at least s. Whenever the bound reaches 2^(w-1), the fields are repacked at
+the narrowest width that keeps it below. The marked splits are then
+scored one by one, in ascending k'. Every maximizer scores at least s and
+is marked, so the values and the maximizer sets are exactly those of a
+scan of every split.
 
 The closed form F_q(k) = sum over i < k of C(h(i), q), h the Hamming
 weight, also says which splits attain the maximum (the tail rule). For
@@ -40,9 +55,8 @@ exactly, while for larger q the reverse inclusion can fail.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import add, ge
 
 __all__ = [
     "RecursionTable",
@@ -52,12 +66,17 @@ __all__ = [
     "find_onlyif_counterexamples",
 ]
 
-# Splits k' are scored in blocks of _BLOCK consecutive sizes, each skipped
-# when its bound cannot reach the best score seen; while k/2 <= _PLAIN_HALF,
-# [1, k/2] is one block, where computing the bounds would cost more than
-# the splits they skip.
-_BLOCK = 16
-_PLAIN_HALF = 128
+# While k/2 <= _PLAIN_HALF every split is scored in a plain loop, which
+# costs less there than packing the rows.
+_PLAIN_HALF = 48
+# build_table refuses a table of more than _MAX_SPLITS splits or
+# _MAX_CELLS values. At the split bound, (1, 16384) builds in ~0.7 s, but
+# where the high rows are 0 and every split ties it takes up to ~8 s and
+# 1.4 GB: (64, 2048). The value bound stops tables of few splits per value
+# and many rows, which the split bound lets through: (2^18 - 1, 4) builds
+# in ~2 s, and (10^8, 1), which scores no split, would need ~8 GB.
+_MAX_SPLITS = 1 << 26
+_MAX_CELLS = 1 << 20
 
 
 @dataclass
@@ -96,15 +115,31 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
     """Evaluate the recursion bottom-up for all q <= qmax, k <= kmax.
 
     Each k starts from the score of its top-bit split k - 2^floor(log2(k-1))
-    and scores only the blocks of splits whose bound lead(b) + F_q(k-a)
-    (module docstring) reaches it. Every maximizer lies in such a block, so
-    the result equals a scan of all q * sum(k // 2) splits. That count stays
-    the worst case; (6, 2048) scores 1.3 M of its 6.3 M splits.
+    and scores, in ascending k', the splits that reach it. While
+    k/2 <= _PLAIN_HALF those are all k/2 splits. Past it, the packed
+    comparison of the module docstring marks them: field i of w bits holds
+
+        lead(k') + F_q(k-k') + 2^(w-1) - seed,   k' = i + 1,
+
+    and its guard bit 2^(w-1) is set exactly when k' reaches the seed, as
+    w keeps every score below 2^(w-1). So the result equals a scan of all
+    qmax * floor(kmax^2 / 4) splits, which is also the worst case, when
+    every split ties.
+
+    Raises ``ValueError`` before anything is allocated when the table would
+    score more than ``_MAX_SPLITS`` splits or hold more than
+    ``_MAX_CELLS`` values.
     """
     if qmax < 0:
         raise ValueError(f"qmax must be >= 0, got {qmax}")
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
+    scored, cells = qmax * (kmax * kmax // 4), (qmax + 1) * kmax
+    if scored > _MAX_SPLITS or cells > _MAX_CELLS:
+        raise ValueError(
+            f"the table to qmax = {qmax}, kmax = {kmax} scores {scored} splits and holds"
+            f" {cells} values, past the bounds of {_MAX_SPLITS} and {_MAX_CELLS}"
+        )
     values = [list(range(kmax + 1))]  # F_0(k) = k
     maximizer_sets: dict[tuple[int, int], tuple[int, ...]] = {}
     for q in range(1, qmax + 1):
@@ -112,36 +147,63 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
         prev = values[q - 1]
         lead = [0] * (kmax + 1)  # F_q(k') + F_{q-1}(k'), set with row[k']
         lead[1] = prev[1]
+        limit = 0  # 2^(w-1), the guard bit of a field; 0 until the row is packed
         for k in range(2, kmax + 1):
             half = k // 2
             top = k - (1 << ((k - 1).bit_length() - 1))
             best = lead[top] + row[k - top]
             if half <= _PLAIN_HALF:
-                width, starts = half, (1,)
+                splits = range(1, half + 1)
             else:
-                # The last block's bound may read lead past k/2: still a bound
-                # as lead is nondecreasing, and already set as k - half > _BLOCK.
-                width = _BLOCK
-                bounds = map(
-                    add, lead[width:half + width:width], row[k - 1:k - 1 - half:-width]
-                )
-                starts = compress(
-                    range(1, half + 1, width), map(ge, bounds, repeat(best))
-                )
+                # Every score is at most lead(k/2) + F_q(k-1), as both rows
+                # are nondecreasing; below 2^(w-1), no field carries.
+                bound = lead[half] + row[k - 1]
+                if bound >= limit:
+                    size = bound.bit_length() // 8 + 1
+                    width, limit = 8 * size, 1 << (8 * size - 1)
+                    ones = _pack([1] * half, size)
+                    guard = ones << (width - 1)
+                    mask = (ones << width) - ones
+                    packed_lead = _pack(lead[1:half + 1], size) | guard
+                    packed_rev = _pack(row[k - 1:k - 1 - half:-1], size)
+                elif k % 2:
+                    packed_rev = (packed_rev << width | row[k - 1]) & mask
+                else:
+                    shift = (half - 1) * width
+                    ones |= 1 << shift
+                    guard |= limit << shift
+                    mask |= mask << width
+                    packed_lead |= (limit | lead[half]) << shift
+                    packed_rev = packed_rev << width | row[k - 1]
+                hits = (packed_lead + packed_rev - best * ones) & guard
+                splits = range(1, half + 1) if hits == guard else _marked(hits, half, size)
             args: list[int] = []
-            for a in starts:
-                for kp in range(a, min(a + width, half + 1)):
-                    candidate = lead[kp] + row[k - kp]
-                    if candidate > best:
-                        best = candidate
-                        args = [kp]
-                    elif candidate == best:
-                        args.append(kp)
+            for kp in splits:
+                candidate = lead[kp] + row[k - kp]
+                if candidate > best:
+                    best = candidate
+                    args = [kp]
+                elif candidate == best:
+                    args.append(kp)
             row[k] = best
             lead[k] = best + prev[k]
             maximizer_sets[(q, k)] = tuple(args)
         values.append(row)
     return RecursionTable(qmax=qmax, kmax=kmax, values=values, maximizer_sets=maximizer_sets)
+
+
+def _pack(fields: list[int], size: int) -> int:
+    """The integer whose field i of ``size`` bytes holds ``fields[i]``."""
+    return int.from_bytes(b"".join(f.to_bytes(size, "little") for f in fields), "little")
+
+
+def _marked(hits: int, fields: int, size: int) -> Iterator[int]:
+    """Yield k' = i + 1, ascending, for every field i whose guard bit is set."""
+    marks = hits.to_bytes(fields * size, "little")
+    at = marks.find(128)  # a guard bit is the top bit of a field's last byte
+    while at >= 0:
+        yield at // size + 1
+        at = marks.find(128, at + size)
 
 
 def hypercubic_partitions(k: int) -> set[int]:
@@ -170,7 +232,8 @@ def find_onlyif_counterexamples(qmax: int, kmax: int) -> list[OnlyIfCounterexamp
     """Scan for (q, k) whose maximizers are not all hypercubic.
 
     Results are ordered by (q, k); each record lists the maximizing k'
-    values that no bit position witnesses.
+    values that no bit position witnesses. Raises ``ValueError`` for a
+    table past the bounds of ``build_table``, before building it.
     """
     if qmax < 1:
         raise ValueError(f"qmax must be >= 1, got {qmax}")

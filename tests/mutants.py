@@ -93,10 +93,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "build_table: block bound skips blocks that tie the best",
+        "build_table: guard offset one short, so ties with the seed go unmarked",
         "recursion.py",
-        "map(ge, bounds, repeat(best))",
-        "map(lambda bound, score: bound > score, bounds, repeat(best))",
+        "- best * ones) & guard",
+        "- (best + 1) * ones) & guard",
+        "tests/test_recursion.py",
+        "full_scan or tail_rule",
+        (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-600]",
+            "tests/test_recursion.py::TestMaximizers::test_tail_rule",
+        ),
+    ),
+    Mutant(
+        "build_table: fields widened one bit too late",
+        "recursion.py",
+        "if bound >= limit:",
+        "if bound >= limit << 1:",
         "tests/test_recursion.py",
         "full_scan or tail_rule",
         (

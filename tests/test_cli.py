@@ -41,6 +41,20 @@ class TestFq:
         rc, out, err = invoke(capsys, ["fq", "--q", "1", "--kmax", "0"])
         assert rc == 1 and out == "" and err
 
+    # A table past the size bound is refused before it is built, not by
+    # a MemoryError traceback
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fq", "--q", "1", "--kmax", "100000000"],
+            ["counterexample", "--qmax", "2", "--kmax", "100000000"],
+        ],
+    )
+    def test_table_past_the_size_bound(self, capsys, argv):
+        rc, out, err = invoke(capsys, argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCount:
     def test_square_file(self, capsys, tmp_path):

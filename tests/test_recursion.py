@@ -1,8 +1,11 @@
 """Tests for the max-recursion table, maximizers, and hypercubic partitions."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubeseg import recursion
 from cubeseg.cube import initial_segment, count_subcubes_naive
 from cubeseg.recursion import (
     build_table,
@@ -59,22 +62,64 @@ class TestBuildTable:
             for k in range(2, 65):
                 assert table.maximizer_sets[(q, k)]
 
-    # Past k = 256 build_table skips blocks of splits; these shapes give
-    # k/2 every residue modulo the block width there and include
-    # k = 2^m - 1, 2^m, 2^m + 1 for m = 9 and m = 10.
-    @pytest.mark.parametrize("qmax,kmax", [(8, 600), (3, 1100)])
+    # Past k = 2 * _PLAIN_HALF + 1 build_table scores only the splits its
+    # packed comparison marks. (6, 2 * _PLAIN_HALF + 2) holds the last
+    # plain k and the first packed ones; (8, 600) widens its fields from 8
+    # to 16 bits near k = 128, 252 and 496; (3, 1100) holds k = 2^m - 1,
+    # 2^m, 2^m + 1 for m = 9 and m = 10; every split of the rows q >= 9 of
+    # (12, 300) ties, and (3, 1) .. (3, 3) score at most one split per k.
+    @pytest.mark.parametrize(
+        "qmax,kmax",
+        [
+            (6, 2 * recursion._PLAIN_HALF + 2),
+            (8, 600),
+            (3, 1100),
+            (12, 300),
+            (3, 1),
+            (3, 2),
+            (3, 3),
+        ],
+    )
     def test_matches_full_scan(self, qmax, kmax):
         built = build_table(qmax, kmax)
         values, maximizer_sets = oracles.recursion_table_full_scan(qmax, kmax)
         assert built.values == values
         assert built.maximizer_sets == maximizer_sets
 
-    # The lemma the block bounds rest on, checked on built tables.
+    # The lemma that keeps the packed fields from carrying, checked on
+    # built tables.
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 8), st.integers(1, 700))
     def test_rows_nondecreasing(self, qmax, kmax):
         for row in build_table(qmax, kmax).values:
             assert all(a <= b for a, b in zip(row[1:], row[2:]))
+
+
+class TestTableBounds:
+    # (1, 16384) scores exactly _MAX_SPLITS splits and (2^20 - 1, 1), with
+    # no split, holds exactly _MAX_CELLS values.
+    def test_largest_tables_build(self):
+        assert 16384 * 16384 // 4 == recursion._MAX_SPLITS
+        assert build_table(1, 16384).value(1, 16384) == prefix_hq(16384, 1)
+        assert 2**20 == recursion._MAX_CELLS
+        assert build_table(2**20 - 1, 1).value(2**20 - 1, 1) == 0
+
+    @pytest.mark.parametrize(
+        "qmax,kmax", [(1, 16385), (2, 16384), (2**20, 1), (2**18, 4), (1, 10**8), (10**30, 1)]
+    )
+    def test_refused_before_anything_is_allocated(self, qmax, kmax):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="past the bounds"):
+                build_table(qmax, kmax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_counterexample_scan_refused(self):
+        with pytest.raises(ValueError, match="past the bounds"):
+            find_onlyif_counterexamples(2, 10**8)
 
 
 class TestMaximizers:
