@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 from typing import Optional, Sequence
 
+from .cube import _MAX_DIM
 from .weights import interval_histogram, prefix_hq
 
 __all__ = [
@@ -92,9 +93,15 @@ def find_special_bijection(I: Interval, J: Interval) -> Optional[BijectionWitnes
     is sorted -- possible only when I.lo > 0. Otherwise both intervals are
     sorted by Hamming weight, ties in increasing order, and the k-th source
     is paired with the k-th target, which Hall's condition guarantees fits.
+
+    Raises ``ValueError`` when the intervals hold more than 2^_MAX_DIM
+    integers each, the vertex count of the largest cube, before anything
+    is sorted.
     """
     if I.size != J.size:
         raise ValueError(f"interval sizes differ: {I.size} vs {J.size}")
+    if I.size > 1 << _MAX_DIM:
+        raise ValueError(f"intervals of {I.size} integers, past the bound of {1 << _MAX_DIM}")
     if J.lo <= I.lo:
         raise ValueError(f"target must start above source: j0={J.lo} <= i0={I.lo}")
     strict = I.hi < J.lo

@@ -30,13 +30,9 @@ from .weights import prefix_hq
 __all__ = ["main", "run"]
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep usage failures on exit code 1
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 @dataclass
@@ -92,11 +88,13 @@ def _build_parser() -> _Parser:
         )
 
     p = sub.add_parser("fq", help="recursion values, maximizers, hypercubic sizes")
+    p.set_defaults(handler=_cmd_fq)
     p.add_argument("--q", type=int, required=True, help="subcube dimension (>= 0)")
     p.add_argument("--kmax", type=int, required=True, help="largest set size")
     add_output(p)
 
     p = sub.add_parser("count", help="count subcubes contained in a vertex file")
+    p.set_defaults(handler=_cmd_count)
     p.add_argument("--dim", type=int, required=True, help="cube dimension n")
     p.add_argument("--q", type=int, required=True, help="subcube dimension")
     p.add_argument("--input", required=True, help="vertex file, one vertex per line")
@@ -109,6 +107,7 @@ def _build_parser() -> _Parser:
     add_output(p)
 
     p = sub.add_parser("optimal", help="prefix-sum optimum for k vertices")
+    p.set_defaults(handler=_cmd_optimal)
     p.add_argument("--dim", type=int, required=True, help="cube dimension n")
     p.add_argument("--q", type=int, required=True, help="subcube dimension")
     p.add_argument("--k", type=int, required=True, help="set size")
@@ -126,6 +125,7 @@ def _build_parser() -> _Parser:
     add_output(p)
 
     p = sub.add_parser("oracle", help="exhaustive maximum over all k-subsets")
+    p.set_defaults(handler=_cmd_oracle)
     p.add_argument("--dim", type=int, required=True, help="cube dimension n")
     p.add_argument("--k", type=int, required=True, help="set size")
     p.add_argument("--q", type=int, required=True, help="subcube dimension")
@@ -144,6 +144,7 @@ def _build_parser() -> _Parser:
     add_output(p)
 
     p = sub.add_parser("bijection", help="weight-monotone bijection between intervals")
+    p.set_defaults(handler=_cmd_bijection)
     p.add_argument("src_lo", type=int, help="source interval lower bound")
     p.add_argument("src_hi", type=int, help="source interval upper bound")
     p.add_argument("dst_lo", type=int, help="target interval lower bound")
@@ -151,10 +152,12 @@ def _build_parser() -> _Parser:
     add_output(p)
 
     p = sub.add_parser("hypercubic", help="hypercubic partition sizes of k")
+    p.set_defaults(handler=_cmd_hypercubic)
     p.add_argument("--k", type=int, required=True, help="set size (>= 2)")
     add_output(p)
 
     p = sub.add_parser("counterexample", help="maximizers that are not hypercubic")
+    p.set_defaults(handler=_cmd_counterexample)
     p.add_argument("--qmax", type=int, required=True, help="largest q scanned")
     p.add_argument("--kmax", type=int, required=True, help="largest k scanned")
     add_output(p)
@@ -164,9 +167,9 @@ def _build_parser() -> _Parser:
 
 def _cmd_fq(ns) -> _Report:
     if ns.q < 0:
-        raise UsageError(f"--q must be >= 0, got {ns.q}")
+        raise ValueError(f"--q must be >= 0, got {ns.q}")
     if ns.kmax < 1:
-        raise UsageError(f"--kmax must be >= 1, got {ns.kmax}")
+        raise ValueError(f"--kmax must be >= 1, got {ns.kmax}")
     table = recursion.build_table(ns.q, ns.kmax)
     rows = []
     for k in range(1, ns.kmax + 1):
@@ -198,43 +201,33 @@ def _cmd_oracle(ns) -> _Report:
     result = oracle.brute_force_mq(
         ns.dim, ns.k, ns.q, argmax_cap=ns.argmax_cap, budget=ns.budget
     )
-    formula = prefix_hq(ns.k, ns.q)
+    fields = [
+        ("n", result.n),
+        ("k", result.k),
+        ("q", result.q),
+        ("max_count", result.max_count),
+        ("formula_value", prefix_hq(ns.k, ns.q)),
+        ("matches_formula", result.matches_formula),
+        ("scanned", result.total_subsets_scanned),
+    ]
     argmax = [list(S) for S in result.argmax_examples]
-    obj = {
-        "n": result.n,
-        "k": result.k,
-        "q": result.q,
-        "max_count": result.max_count,
-        "formula_value": formula,
-        "matches_formula": result.matches_formula,
-        "argmax": argmax,
-        "scanned": result.total_subsets_scanned,
-    }
-    header = [
-        "n", "k", "q", "max_count", "formula_value", "matches_formula",
-        "scanned", "argmax",
-    ]
-    scalars = [
-        result.n, result.k, result.q, result.max_count, formula,
-        result.matches_formula, result.total_subsets_scanned,
-    ]
-    rows = [scalars + [members] for members in argmax] or [scalars + [[]]]
-    plain = [[name, value] for name, value in zip(header, scalars)]
-    plain += [["argmax", members] for members in argmax]
-    return _Report(obj, [header] + rows, plain)
+    *head, scanned = fields  # json lists argmax before scanned
+    obj = dict([*head, ("argmax", argmax), scanned])
+    names, values = map(list, zip(*fields))
+    rows = [values + [members] for members in argmax] or [values + [[]]]
+    plain = fields + [("argmax", members) for members in argmax]
+    return _Report(obj, [names + ["argmax"]] + rows, plain)
 
 
 def _cmd_bijection(ns) -> _Report:
     source = bij.Interval(ns.src_lo, ns.src_hi)
     target = bij.Interval(ns.dst_lo, ns.dst_hi)
     witness = bij.find_special_bijection(source, target)
-    intervals = {
-        "source": {"lo": source.lo, "hi": source.hi},
-        "target": {"lo": target.lo, "hi": target.hi},
-    }
+    sides = [("source", source), ("target", target)]
+    intervals = {name: {"lo": iv.lo, "hi": iv.hi} for name, iv in sides}
     header = ["source_lo", "source_hi", "target_lo", "target_hi"]
-    bounds = [source.lo, source.hi, target.lo, target.hi]
-    plain = [["source", source.lo, source.hi], ["target", target.lo, target.hi]]
+    bounds = [end for _, iv in sides for end in (iv.lo, iv.hi)]
+    plain = [[name, iv.lo, iv.hi] for name, iv in sides]
     if witness is None:
         obj = {"found": False, **intervals}
         plain.append(["found", False])
@@ -253,28 +246,14 @@ def _cmd_bijection(ns) -> _Report:
 
 
 def _cmd_hypercubic(ns) -> _Report:
-    parts = sorted(recursion.hypercubic_partitions(ns.k))
-    header = ["k", "hypercubic"]
-    values = [ns.k, parts]
-    pairs = list(zip(header, values))
-    return _Report(dict(pairs), [header, values], pairs)
+    fields = [("k", ns.k), ("hypercubic", sorted(recursion.hypercubic_partitions(ns.k)))]
+    return _Report(dict(fields), list(zip(*fields)), fields)
 
 
 def _cmd_counterexample(ns) -> _Report:
     records = recursion.find_onlyif_counterexamples(ns.qmax, ns.kmax)
     rows = [[rec.q, rec.k, list(rec.non_hypercubic_maximizers)] for rec in records]
     return _table(["q", "k", "non_hypercubic_maximizers"], rows)
-
-
-_HANDLERS = {
-    "fq": _cmd_fq,
-    "count": _cmd_count,
-    "optimal": _cmd_optimal,
-    "oracle": _cmd_oracle,
-    "bijection": _cmd_bijection,
-    "hypercubic": _cmd_hypercubic,
-    "counterexample": _cmd_counterexample,
-}
 
 
 def run(argv) -> int:
@@ -285,20 +264,16 @@ def run(argv) -> int:
     """
     try:
         ns = _build_parser().parse_args(list(argv))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        report = ns.handler(ns)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        report = _HANDLERS[ns.command](ns)
     except (cube.VertexFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except oracle.BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(_render(report, ns.output))

@@ -70,11 +70,12 @@ __all__ = [
 # costs less there than packing the rows.
 _PLAIN_HALF = 48
 # build_table refuses a table of more than _MAX_SPLITS splits or
-# _MAX_CELLS values. At the split bound, (1, 16384) builds in ~0.7 s, but
-# where the high rows are 0 and every split ties it takes up to ~8 s and
-# 1.4 GB: (64, 2048). The value bound stops tables of few splits per value
-# and many rows, which the split bound lets through: (2^18 - 1, 4) builds
-# in ~2 s, and (10^8, 1), which scores no split, would need ~8 GB.
+# _MAX_CELLS values. At the split bound, (1, 16384) builds in ~0.7 s;
+# (64, 2048), whose rows q >= 12 are 0 and tie at every split, builds two
+# such rows and copies the rest, in ~1.2 s. The value bound stops tables
+# of few splits per value and many rows, which the split bound lets
+# through: (2^18 - 1, 4) builds in ~1 s, and (10^8, 1), which scores no
+# split, would need ~8 GB.
 _MAX_SPLITS = 1 << 26
 _MAX_CELLS = 1 << 20
 
@@ -124,7 +125,9 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
     and its guard bit 2^(w-1) is set exactly when k' reaches the seed, as
     w keeps every score below 2^(w-1). So the result equals a scan of all
     qmax * floor(kmax^2 / 4) splits, which is also the worst case, when
-    every split ties.
+    every split ties. Row q depends on row q - 1 alone, so once two rows
+    are equal every later row equals them too, and is copied with its
+    maximizer tuples instead of built.
 
     Raises ``ValueError`` before anything is allocated when the table would
     score more than ``_MAX_SPLITS`` splits or hold more than
@@ -143,8 +146,14 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
     values = [list(range(kmax + 1))]  # F_0(k) = k
     maximizer_sets: dict[tuple[int, int], tuple[int, ...]] = {}
     for q in range(1, qmax + 1):
-        row = [0] * (kmax + 1)
         prev = values[q - 1]
+        if q >= 2 and prev == values[q - 2]:
+            # Row q is the recursion of row q - 1 on the same inputs.
+            values.append(prev[:])
+            for k in range(2, kmax + 1):
+                maximizer_sets[(q, k)] = maximizer_sets[(q - 1, k)]
+            continue
+        row = [0] * (kmax + 1)
         lead = [0] * (kmax + 1)  # F_q(k') + F_{q-1}(k'), set with row[k']
         lead[1] = prev[1]
         limit = 0  # 2^(w-1), the guard bit of a field; 0 until the row is packed

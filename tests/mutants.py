@@ -118,6 +118,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "build_table: every row copied from the row below it",
+        "recursion.py",
+        "prev == values[q - 2]",
+        "prev == values[q - 1]",
+        "tests/test_recursion.py",
+        "full_scan",
+        (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[16-40]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[30-100]",
+        ),
+    ),
+    Mutant(
+        "bijection: size bound one short",
+        "bijection.py",
+        "if I.size > 1 << _MAX_DIM:",
+        "if I.size >= 1 << _MAX_DIM:",
+        "tests/test_bijection.py",
+        "largest_intervals",
+        ("tests/test_bijection.py::TestFindSpecialBijection::test_largest_intervals_accepted",),
+    ),
+    Mutant(
         "parser: no gather of marks set by earlier chunks",
         "cube.py",
         " or any(itemgetter(vs[0], *vs)(marks))",

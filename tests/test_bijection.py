@@ -1,6 +1,7 @@
 """Tests for special bijections and the weighted-sum inequality checks."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -110,6 +111,32 @@ class TestFindSpecialBijection:
         sources = sorted(map(oracles.popcount, I))
         targets = sorted(map(oracles.popcount, J))
         assert any(p < i + 1 for i, p in zip(sources, targets))
+
+    # Intervals of 2^20 integers, the vertex count of the largest cube, are
+    # the largest accepted; Hall's condition fails on this pair before
+    # anything is sorted.
+    def test_largest_intervals_accepted(self):
+        I, J = Interval(1, 2**20), Interval(2**20 + 1, 2**21)
+        tracemalloc.start()
+        try:
+            assert find_special_bijection(I, J) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("lo", [0, 1])
+    def test_refused_past_the_size_bound(self, lo):
+        size = 2**20 + 1
+        I, J = Interval(lo, lo + size - 1), Interval(lo + size, lo + 2 * size - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="past the bound of 1048576"):
+                find_special_bijection(I, J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_existence_matches_sort_and_pair(self):
         rng = random.Random(2026)

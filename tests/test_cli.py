@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from cubeseg.cli import run
 from cubeseg.cube import initial_segment, load_vertex_set
@@ -282,6 +285,13 @@ class TestBijectionCommand:
         rc, out, err = invoke(capsys, ["bijection", "0", "1", "2", "4"])
         assert rc == 1 and out == ""
 
+    # Intervals past 2^20 integers are refused before anything is sorted,
+    # not by a MemoryError traceback
+    def test_intervals_past_the_size_bound(self, capsys):
+        rc, out, err = invoke(capsys, ["bijection", "0", "99999999", "100000000", "199999999"])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestHypercubicCommand:
     def test_plain(self, capsys):
@@ -346,3 +356,62 @@ class TestHarness:
             assert rc == 0
             number_sets.append(set(re.findall(r"-?\d+", out)))
         assert number_sets[0] == number_sets[1] == number_sets[2]
+
+
+# Every flag of every subcommand, mostly with valid values, at sizes that
+# run in milliseconds; the oracle always gets a small --budget.
+_NUMBER = st.one_of(
+    st.integers(0, 12),
+    st.integers(-3, 12),
+    st.sampled_from(["64", str(10**30), "1.5", "x"]),
+).map(str)
+_FLAGS = {
+    "fq": ["--q", "--kmax"],
+    "count": ["--dim", "--q", "--input", "--input-format"],
+    "optimal": ["--dim", "--q", "--k", "--emit-set", "--input-format"],
+    "oracle": ["--dim", "--k", "--q", "--argmax-cap"],
+    "bijection": [],
+    "hypercubic": ["--k"],
+    "counterexample": ["--qmax", "--kmax"],
+    "frobnicate": [],
+}
+_PREFIX = {1: "error: ", 2: "input error: ", 3: "budget exceeded: "}
+
+
+@pytest.fixture(scope="module")
+def folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+class TestExitContract:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), file_bytes=st.binary(max_size=64))
+    def test_exit_code_stdout_and_stderr(self, folder, data, file_bytes):
+        (folder / "vertices").write_bytes(file_bytes)
+        paths = {
+            "--input": st.sampled_from([folder / "vertices", folder / "missing"]),
+            "--emit-set": st.sampled_from([folder / "emitted", folder / "missing" / "x"]),
+            "--input-format": st.sampled_from(["decimal", "binary", "hex"]),
+        }
+        command = data.draw(st.sampled_from(sorted(_FLAGS)))
+        argv = [command]
+        if command == "bijection":
+            argv += data.draw(st.lists(_NUMBER, min_size=3, max_size=5))
+        for flag in _FLAGS[command]:
+            if data.draw(st.integers(0, 19)):  # each flag is left out 1 time in 20
+                argv += [flag, str(data.draw(paths.get(flag, _NUMBER)))]
+        if command == "oracle":
+            argv += ["--budget", str(data.draw(st.integers(-3, 2000)))]
+        output = data.draw(st.sampled_from([None, "plain", "json", "csv", "xml"]))
+        if output:
+            argv += ["--output", output]
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(argv)
+        event(f"exit {rc}")
+        assert rc in (0, 1, 2, 3)
+        assert (out.getvalue() == "") == (rc != 0)
+        if rc:
+            assert err.getvalue().startswith(_PREFIX[rc])
+            assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1

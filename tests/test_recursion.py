@@ -68,6 +68,8 @@ class TestBuildTable:
     # to 16 bits near k = 128, 252 and 496; (3, 1100) holds k = 2^m - 1,
     # 2^m, 2^m + 1 for m = 9 and m = 10; every split of the rows q >= 9 of
     # (12, 300) ties, and (3, 1) .. (3, 3) score at most one split per k.
+    # Rows 9 and 10 of (12, 300), 6 and 7 of (16, 40) and 7 and 8 of
+    # (30, 100) are equal, and every row after them is copied.
     @pytest.mark.parametrize(
         "qmax,kmax",
         [
@@ -75,6 +77,8 @@ class TestBuildTable:
             (8, 600),
             (3, 1100),
             (12, 300),
+            (16, 40),
+            (30, 100),
             (3, 1),
             (3, 2),
             (3, 3),
@@ -85,6 +89,12 @@ class TestBuildTable:
         values, maximizer_sets = oracles.recursion_table_full_scan(qmax, kmax)
         assert built.values == values
         assert built.maximizer_sets == maximizer_sets
+
+    # Past row 10 every F_q(k) up to k = 1024 is 0, so every split ties
+    def test_copied_all_tie_rows(self):
+        table = build_table(40, 1024)
+        assert table.values[40] == [0] * 1025
+        assert table.maximizer_sets[(40, 1024)] == tuple(range(1, 513))
 
     # The lemma that keeps the packed fields from carrying, checked on
     # built tables.
