@@ -93,10 +93,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "build_table: guard offset one short, so ties with the seed go unmarked",
+        "build_table: guard offset one short, so the maximizers go unmarked",
         "recursion.py",
-        "- best * ones) & guard",
-        "- (best + 1) * ones) & guard",
+        "- target * ones) & guard",
+        "- (target + 1) * ones) & guard",
         "tests/test_recursion.py",
         "full_scan or tail_rule",
         (
@@ -108,8 +108,8 @@ MUTANTS = (
     Mutant(
         "build_table: fields widened one bit too late",
         "recursion.py",
-        "if bound >= limit:",
-        "if bound >= limit << 1:",
+        "if target >= limit:",
+        "if target >= limit << 1:",
         "tests/test_recursion.py",
         "full_scan or tail_rule",
         (
@@ -120,14 +120,27 @@ MUTANTS = (
     Mutant(
         "build_table: every row copied from the row below it",
         "recursion.py",
-        "prev == values[q - 2]",
-        "prev == values[q - 1]",
+        "values[q - 1] == values[q - 2]",
+        "values[q - 1] == values[q - 1]",
         "tests/test_recursion.py",
         "full_scan",
         (
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[16-40]",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[30-100]",
+        ),
+    ),
+    Mutant(
+        "build_table: closed-form row counts one weight too many",
+        "recursion.py",
+        "comb(w, q) for w in weights",
+        "comb(w + 1, q) for w in weights",
+        "tests/test_recursion.py",
+        "full_scan",
+        (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[3-2]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan_on_random_shapes",
         ),
     ),
     Mutant(

@@ -48,6 +48,12 @@ def table6():
 
 
 @pytest.fixture(scope="module")
+def full_scan6():
+    """``(values, maximizer_sets)`` of an unpruned scan of every split."""
+    return oracles.recursion_table_full_scan(6, KMAX)
+
+
+@pytest.fixture(scope="module")
 def hypercubic_by_k():
     return {k: hypercubic_partitions(k) for k in range(2, KMAX + 1)}
 
@@ -68,28 +74,35 @@ def test_criterion_01_oracle_equivalence():
     )
 
 
-def test_criterion_02_closed_form(table6):
+# build_table tabulates the closed form, so the prefix sums are also
+# compared with the recursion itself, evaluated by a scan of every split.
+def test_criterion_02_closed_form(table6, full_scan6):
     failures = []
+    scanned, _ = full_scan6
     for q in range(7):
         running = 0
         for k in range(1, KMAX + 1):
             running += comb(oracles.popcount(k - 1), q)
-            if table6.values[q][k] != running:
-                failures.append((q, k, table6.values[q][k], running))
-    report(2, "recursion table equals prefix sums up to k=2048", failures)
+            if table6.values[q][k] != running or scanned[q][k] != running:
+                failures.append((q, k, table6.values[q][k], scanned[q][k], running))
+    report(
+        2,
+        "recursion table and a scan of every split equal prefix sums up to k=2048",
+        failures,
+    )
 
 
-def test_criterion_03_hypercubic_are_maximizers(table6, hypercubic_by_k):
+def test_criterion_03_hypercubic_are_maximizers(table6, full_scan6, hypercubic_by_k):
     failures = []
     for k in range(2, KMAX + 1):
         hyper = hypercubic_by_k[k]
         for q in range(1, 6):
             if not hyper <= set(table6.maximizer_sets[(q, k)]):
                 failures.append((q, k))
-    # the pruned build_table against an unpruned scan of every split and
-    # against the tail rule, which never evaluates the recursion
+    # build_table against an unpruned scan of every split and against the
+    # tail rule, which never evaluates the recursion
     built = set(table6.maximizer_sets.items())
-    _, full_scan = oracles.recursion_table_full_scan(6, KMAX)
+    _, full_scan = full_scan6
     failures += sorted(set(full_scan.items()) ^ built)
     tail_rule = oracles.tail_rule_maximizer_sets(6, KMAX)
     failures += sorted(set(tail_rule.items()) ^ built)

@@ -62,10 +62,11 @@ class TestBuildTable:
             for k in range(2, 65):
                 assert table.maximizer_sets[(q, k)]
 
-    # Past k = 2 * _PLAIN_HALF + 1 build_table scores only the splits its
-    # packed comparison marks. (6, 2 * _PLAIN_HALF + 2) holds the last
-    # plain k and the first packed ones; (8, 600) widens its fields from 8
-    # to 16 bits near k = 128, 252 and 496; (3, 1100) holds k = 2^m - 1,
+    # Past k = 2 * _PLAIN_HALF + 1 build_table takes the maximizers from
+    # the guard bits of its packed comparison with F_q(k).
+    # (6, 2 * _PLAIN_HALF + 2) holds the last plain k and the first packed
+    # ones; (8, 600) widens its fields from 8 to 16 bits at k = 110, 190,
+    # 348 and 512 (rows 4 to 7); (3, 1100) holds k = 2^m - 1,
     # 2^m, 2^m + 1 for m = 9 and m = 10; every split of the rows q >= 9 of
     # (12, 300) ties, and (3, 1) .. (3, 3) score at most one split per k.
     # Rows 9 and 10 of (12, 300), 6 and 7 of (16, 40) and 7 and 8 of
@@ -96,13 +97,23 @@ class TestBuildTable:
         assert table.values[40] == [0] * 1025
         assert table.maximizer_sets[(40, 1024)] == tuple(range(1, 513))
 
-    # The lemma that keeps the packed fields from carrying, checked on
-    # built tables.
+    # F_q(k) never falls as k grows: a maximizer k' of F_q(k) is also a
+    # split of k + 1, where F_q(k + 1 - k') >= F_q(k - k') by induction.
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 8), st.integers(1, 700))
     def test_rows_nondecreasing(self, qmax, kmax):
         for row in build_table(qmax, kmax).values:
             assert all(a <= b for a, b in zip(row[1:], row[2:]))
+
+    # build_table tabulates the closed form and keeps the splits that reach
+    # it; the full scan evaluates the recursion itself, on any shape.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), st.integers(1, 300))
+    def test_matches_full_scan_on_random_shapes(self, qmax, kmax):
+        built = build_table(qmax, kmax)
+        values, maximizer_sets = oracles.recursion_table_full_scan(qmax, kmax)
+        assert built.values == values
+        assert built.maximizer_sets == maximizer_sets
 
 
 class TestTableBounds:
@@ -130,6 +141,18 @@ class TestTableBounds:
     def test_counterexample_scan_refused(self):
         with pytest.raises(ValueError, match="past the bounds"):
             find_onlyif_counterexamples(2, 10**8)
+
+    # (24, 2048) lists 15,534,322 maximizers, just inside _MAX_LISTED, in
+    # ~2 s; the all-tie rows of (64, 2048) would list ~55 million, and the
+    # scan stops once its records pass the bound.
+    def test_largest_counterexample_report_listed(self):
+        records = find_onlyif_counterexamples(24, 2048)
+        listed = sum(len(rec.non_hypercubic_maximizers) for rec in records)
+        assert listed == 15_534_322 <= recursion._MAX_LISTED
+
+    def test_counterexample_report_past_the_bound_refused(self):
+        with pytest.raises(ValueError, match="past the bound"):
+            find_onlyif_counterexamples(64, 2048)
 
 
 class TestMaximizers:
