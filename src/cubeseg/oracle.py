@@ -24,12 +24,28 @@ element of S1 △ S2 lies in S1, and S1 △ S2 = T1 △ T2, so S ascending is
 T descending. The complement walk picks each member of T downward, which
 takes T in reverse lexicographic order, and the counts and the capped
 argmax list are the same as the forward walk's.
+
+A vertex is scored against a table that each scan fills as it goes: for
+each vertex v, the 2^n-bit masks of the q-subcubes the walk scores at v,
+each without v itself, so a set holds such a subcube exactly when its
+indicator ``bits`` has ``bits & m == m``. The forward walk's table holds
+the C(h(v), q) subcubes topped by v and the complement walk's the C(n, q)
+through v. Two tests skip the table: the forward walk scores 0 while the
+prefix has fewer than 2^q - 1 members, which a q-subcube needs besides v,
+and the complement walk scores C(n, q) while nothing has been removed, so
+a scan with one removal builds no mask. A table keeps at most
+``_TABLE_BYTES`` (64 MiB) of masks; a vertex past it has its masks built
+again at each use. The masks are built here from the coordinates and not
+taken from ``cube``'s free-coordinate tables: the oracle is the check that
+the kernels are right, and a fault in a shared table would pass it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
+from sys import getsizeof
 
 from .cube import VertexSet, _check_dim, _check_k, _check_q, count_subcubes_naive
 from .weights import prefix_hq
@@ -97,9 +113,19 @@ def brute_force_mq(
     deterministic. When 3k > 2^(n+1) the scan walks the 2^n - k removed
     vertices in reverse lexicographic order instead, which is the same
     order of the sets (see the module docstring); the switch depends on
-    (n, k) alone and was placed where the two walks cost the same at
-    n = 3 and 4. Both walks recurse over the prefix tree, one call per
-    picked member: k - 1 calls deep forward, 2^n - k - 1 on the complement.
+    (n, k) alone. It was placed where the two walks cost the same at
+    n = 3 and 4 before the mask tables, which moved that point down to
+    k = 5 and 9, about 2k = 2^n + 2. Both walks recurse over the prefix
+    tree, one call per picked member: k - 1 calls deep forward,
+    2^n - k - 1 on the complement.
+
+    Each picked vertex is scored by testing the set against the masks of
+    the subcubes it completes, from a table the scan fills at first use
+    and keeps within 64 MiB. The forward walk scores nothing while the
+    prefix is too small to hold a q-subcube, and the complement walk's
+    first removal takes C(n, q) without a mask, so ``(20, 2^20 - 1, q)``
+    scans its 2^20 sets in well under a second.
+
     Raises BudgetExceeded before any work if C(2^n, k) exceeds the budget
     or 2^64, whatever the budget; within 2^64 subsets the recursion is at
     most 41 calls deep (n = 6, k = 42), far below the interpreter's limit.
@@ -137,6 +163,9 @@ def _forward_walk(
     n: int, k: int, q: int, cap: int
 ) -> tuple[int, list[VertexSet], int]:
     size = 1 << n
+    table = _MaskTable(n, q, through=False)
+    kept, masks = table.kept, table.masks
+    need = (1 << q) - 1  # members of a q-subcube besides its top vertex
     best = -1
     examples: list[VertexSet] = []
     scanned = 0
@@ -145,21 +174,23 @@ def _forward_walk(
         # Members from ``start`` up; ``bits`` and ``count`` are the prefix's
         # indicator and m_q, and ``left`` members remain to be picked.
         nonlocal best, examples, scanned
+        scored = k - left >= need
         if left == 1:
             scanned += size - start
-            for v in range(start, size):
-                bits_v = bits | 1 << v
-                total = count + (_grow(bits_v, 1, v, v, v, q) if q else 1)
-                if total >= best:
-                    if total > best:
-                        best = total
-                        examples = []
-                    if len(examples) < cap:
-                        examples.append(VertexSet.from_bits(n, bits_v))
-            return
         for v in range(start, size - left + 1):
-            bits_v = bits | 1 << v
-            push(bits_v, count + (_grow(bits_v, 1, v, v, v, q) if q else 1), v + 1, left - 1)
+            total = count
+            if scored:
+                for m in kept[v] or masks(v):
+                    if bits & m == m:
+                        total += 1
+            if left > 1:
+                push(bits | 1 << v, total, v + 1, left - 1)
+            elif total >= best:
+                if total > best:
+                    best = total
+                    examples = []
+                if len(examples) < cap:
+                    examples.append(VertexSet.from_bits(n, bits | 1 << v))
 
     push(0, 0, 0, k)
     return best, examples, scanned
@@ -170,10 +201,12 @@ def _complement_walk(
 ) -> tuple[int, list[VertexSet], int]:
     size = 1 << n
     full = (1 << size) - 1
-    whole = comb(n, q) << (n - q)
+    per_vertex = comb(n, q)
+    whole = per_vertex << (n - q)
     if k == size:
         return whole, [VertexSet.from_bits(n, full)] if cap else [], 1
-    coords = size - 1  # any coordinate may be freed around a removed vertex
+    table = _MaskTable(n, q, through=True)
+    kept, masks = table.kept, table.masks
     best = -1
     examples: list[VertexSet] = []
     scanned = 0
@@ -182,45 +215,75 @@ def _complement_walk(
         # Removed vertices from 2^n - left down to ``start``; ``bits`` and
         # ``count`` are the set left by the removed prefix and its m_q.
         nonlocal best, examples, scanned
+        untouched = left == size - k  # nothing removed: C(n, q) through u
         if left == 1:
             scanned += size - start
-            for u in range(size - 1, start - 1, -1):
-                total = count - (_grow(bits, 1, u, u, coords, q) if q else 1)
-                if total >= best:
-                    if total > best:
-                        best = total
-                        examples = []
-                    if len(examples) < cap:
-                        examples.append(VertexSet.from_bits(n, bits ^ 1 << u))
-            return
         for u in range(size - left, start - 1, -1):
-            through = _grow(bits, 1, u, u, coords, q) if q else 1
-            remove(bits ^ 1 << u, count - through, u + 1, left - 1)
+            if untouched:
+                total = count - per_vertex
+            else:
+                total = count
+                for m in kept[u] or masks(u):
+                    if bits & m == m:
+                        total -= 1
+            if left > 1:
+                remove(bits ^ 1 << u, total, u + 1, left - 1)
+            elif total >= best:
+                if total > best:
+                    best = total
+                    examples = []
+                if len(examples) < cap:
+                    examples.append(VertexSet.from_bits(n, bits ^ 1 << u))
 
     remove(full, whole, 0, size - k)
     return best, examples, scanned
 
 
-def _grow(bits: int, cube: int, low: int, u: int, rest: int, q: int) -> int:
-    """Number of q-subcubes inside ``bits`` that contain vertex u and
-    extend ``cube`` by q more free coordinates taken from ``rest``.
+# Bytes of mask lists one _MaskTable keeps; past it, a vertex's masks are
+# built again at each use. The removed pairs of the 12-cube at q = 2 reach
+# it: 66 masks of up to 4096 bits per vertex, ~91 MiB in all.
+_TABLE_BYTES = 1 << 26
 
-    ``cube`` is a subcube through u, as its indicator shifted down to its
-    lowest vertex ``low``. Free coordinates are added in increasing order;
-    a branch ends as soon as its cube is not inside ``bits``, since every
-    larger cube of the branch contains it. With ``rest`` the one-bits of
-    u, these are the subcubes whose highest vertex is u; with every
-    coordinate, all subcubes through u.
+
+class _MaskTable:
+    """The q-subcubes a walk scores at each vertex v, as 2^n-bit masks of
+    their vertices other than v, built at a vertex's first use.
+
+    With ``through`` false these are the subcubes whose highest vertex is
+    v, which free q of v's one-bits; with ``through`` true, every subcube
+    through v. Such a subcube lies inside S + {v} exactly when its mask m
+    has ``bits & m == m`` for the indicator ``bits`` of S. ``kept[v]`` is
+    v's list while the lists stay within _TABLE_BYTES, else None.
     """
-    count = 0
-    while rest.bit_count() >= q:
-        step = rest & -rest
-        rest ^= step
-        low_child = low - (step & u)
-        child = cube | cube << step
-        if (bits >> low_child) & child == child:
-            count += 1 if q == 1 else _grow(bits, child, low_child, u, rest, q - 1)
-    return count
+
+    def __init__(self, n: int, q: int, through: bool):
+        self.n = n
+        self.q = q
+        self.through = through
+        self.kept: list[list[int] | None] = [None] * (1 << n)
+        self.room = _TABLE_BYTES - getsizeof(self.kept)
+
+    def masks(self, v: int) -> list[int]:
+        found = self.kept[v]
+        if found is None:
+            found = self.build(v)
+            size = getsizeof(found) + sum(map(getsizeof, found))
+            if size <= self.room:
+                self.room -= size
+                self.kept[v] = found
+        return found
+
+    def build(self, v: int) -> list[int]:
+        steps = [1 << c for c in range(self.n) if self.through or v >> c & 1]
+        found = []
+        for free in combinations(steps, self.q):
+            # the subcube's indicator shifted down to its lowest vertex
+            low, shape = v, 1
+            for step in free:
+                low -= v & step
+                shape |= shape << step
+            found.append((shape ^ 1 << (v - low)) << low)
+        return found
 
 
 def is_optimal_set(S: VertexSet, q: int) -> bool:

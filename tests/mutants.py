@@ -177,8 +177,8 @@ MUTANTS = (
     Mutant(
         "complement walk: a removed prefix member never reaches start",
         "oracle.py",
-        "range(size - left, start - 1, -1):\n            through",
-        "range(size - left, start, -1):\n            through",
+        "range(size - left, start - 1, -1)",
+        "range(size - left, start, -1)",
         "tests/test_oracle.py",
         "walks_agree or independent_reference",
         (
@@ -187,17 +187,59 @@ MUTANTS = (
             "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-3-3]",
         ),
     ),
+    # Masks leave out the vertex they are scored at, so a through-count
+    # taken after u's own removal equals the one taken before it; the
+    # fault left to catch is a count taken before the earlier removals.
     Mutant(
-        "complement walk: through-count taken after the removal",
+        "complement walk: through-count taken in the whole cube, not the set left",
         "oracle.py",
-        "through = _grow(bits, 1, u, u, coords, q)",
-        "through = _grow(bits ^ 1 << u, 1, u, u, coords, q)",
+        "for m in kept[u] or masks(u):\n                    if bits & m == m:",
+        "for m in kept[u] or masks(u):\n                    if full & m == m:",
         "tests/test_oracle.py",
         "walks_agree or two_removed",
         (
             "tests/test_oracle.py::TestBruteForce::test_two_removed_from_the_8_cube",
             "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[3-6-None]",
             "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[5-2-2]",
+        ),
+    ),
+    Mutant(
+        "complement walk: one removal still counted as none",
+        "oracle.py",
+        "untouched = left == size - k",
+        "untouched = left >= size - k - 1",
+        "tests/test_oracle.py",
+        "walks_agree or two_removed",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_two_removed_from_the_8_cube",
+            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[3-6-None]",
+            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[5-30-2]",
+        ),
+    ),
+    Mutant(
+        "forward walk: prefix-size test one member too strict",
+        "oracle.py",
+        "need = (1 << q) - 1",
+        "need = 1 << q",
+        "tests/test_oracle.py",
+        "independent_reference",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[2-2]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[3-3]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
+        ),
+    ),
+    Mutant(
+        "mask table: a mask keeps its scored vertex",
+        "oracle.py",
+        "found.append((shape ^ 1 << (v - low)) << low)",
+        "found.append(shape << low)",
+        "tests/test_oracle.py",
+        "masks_match or independent_reference",
+        (
+            "tests/test_oracle.py::TestMaskTable::test_masks_match_generated_subcubes[3]",
+            "tests/test_oracle.py::TestMaskTable::test_masks_match_generated_subcubes[5]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
         ),
     ),
 )

@@ -61,7 +61,7 @@ def hypercubic_by_k():
 def test_criterion_01_oracle_equivalence():
     failures = []
     cases = [(n, k) for n in range(1, 5) for k in range(1, 2**n + 1)]
-    cases += [(5, k) for k in range(1, 33) if k <= 5 or k >= 27]
+    cases += [(5, k) for k in range(1, 33) if k <= 6 or k >= 27]
     for n, k in cases:
         for q in range(n + 1):
             res = brute_force_mq(n, k, q, argmax_cap=1)
@@ -69,7 +69,7 @@ def test_criterion_01_oracle_equivalence():
                 failures.append((n, k, q, res.max_count, prefix_hq(k, q)))
     report(
         1,
-        "exhaustive maxima equal prefix sums for n <= 4 and n = 5 at k <= 5, k >= 27",
+        "exhaustive maxima equal prefix sums for n <= 4 and n = 5 at k <= 6, k >= 27",
         failures,
     )
 

@@ -2,14 +2,17 @@
 
 from itertools import combinations
 from math import comb
+from sys import getsizeof
 
 import pytest
 
 from cubeseg.cube import VertexSet, initial_segment
 from cubeseg.oracle import (
+    _TABLE_BYTES,
     BudgetExceeded,
     _complement_walk,
     _forward_walk,
+    _MaskTable,
     brute_force_mq,
     is_optimal_set,
 )
@@ -46,6 +49,14 @@ class TestBruteForce:
             assert res.max_count == comb(n, q) * (2 ** (n - q) - 1)
             assert res.total_subsets_scanned == 2**n
 
+    def test_all_but_one_of_the_20_cube(self):
+        # Nothing is removed before the one removal, so each of the 2^20
+        # sets scores C(20, 10) without a mask of 2^20 bits being built.
+        res = brute_force_mq(20, 2**20 - 1, 10, argmax_cap=1)
+        assert res.max_count == comb(20, 10) * (2**10 - 1)
+        assert res.total_subsets_scanned == 2**20
+        assert res.argmax_examples == (initial_segment(2**20 - 1, 20),)
+
     def test_two_removed_from_the_8_cube(self):
         # Removing two vertices from the 8-cube; the maximum keeps the
         # initial segment's prefix sum.
@@ -59,14 +70,14 @@ class TestBruteForce:
         "n,k",
         [(n, k) for n in range(1, 4) for k in range(1, 2**n + 1)]
         + [(4, k) for k in (2, 3, 8, 10, 11, 14, 15)]
-        + [(5, 30), (5, 31)],
+        + [(5, 30), (5, 31), (6, 62), (6, 63)],
     )
     def test_matches_independent_reference(self, n, k):
         # Whole argmax list, in order, against itertools and an explicit
         # subcube generator. The scan walks the removed set instead once
         # 3k > 2^(n+1): from k = 6 at n = 3 and from k = 11 at n = 4, so
         # the n = 3 cases and n = 4 at k = 10 and 11 cover both sides of
-        # the switch.
+        # the switch. At n = 6 the complement walk scores a second removal.
         for q in range(n + 1):
             counts = {
                 combo: oracles.subcube_count(combo, n, q)
@@ -185,6 +196,40 @@ class TestBruteForce:
         # input error and not a budget overrun.
         with pytest.raises(ValueError, match="dim"):
             brute_force_mq(n, 2, 0)
+
+
+class TestMaskTable:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_masks_match_generated_subcubes(self, n):
+        # Each vertex's masks against itertools-generated subcubes: those
+        # whose highest vertex it is, and all through it, without itself.
+        for q in range(n + 1):
+            top = _MaskTable(n, q, through=False)
+            through = _MaskTable(n, q, through=True)
+            for v in range(2**n):
+                cubes = [cube for cube in oracles._subcubes(n, q) if v in cube]
+                expected = sorted(sum(1 << u for u in cube if u != v) for cube in cubes)
+                assert sorted(through.masks(v)) == expected, (q, v)
+                expected = sorted(
+                    sum(1 << u for u in cube if u != v) for cube in cubes if max(cube) == v
+                )
+                assert sorted(top.masks(v)) == expected, (q, v)
+
+    def test_kept_masks_stay_within_the_byte_bound(self):
+        # All 66 subcubes of dimension 2 through each vertex of the
+        # 12-cube take ~91 MiB as masks of up to 4096 bits, so the table
+        # keeps some vertices and rebuilds the rest at each use.
+        table = _MaskTable(12, 2, through=True)
+        for v in range(2**12):
+            masks = table.masks(v)
+            assert masks == table.build(v)
+            assert len(masks) == 66
+        kept = [masks for masks in table.kept if masks is not None]
+        assert 0 < len(kept) < 2**12
+        used = getsizeof(table.kept) + sum(
+            getsizeof(masks) + sum(map(getsizeof, masks)) for masks in kept
+        )
+        assert used == _TABLE_BYTES - table.room <= _TABLE_BYTES
 
 
 class TestIsOptimal:
