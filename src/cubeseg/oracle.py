@@ -35,9 +35,11 @@ prefix has fewer than 2^q - 1 members, which a q-subcube needs besides v,
 and the complement walk scores C(n, q) while nothing has been removed, so
 a scan with one removal builds no mask. A table keeps at most
 ``_TABLE_BYTES`` (64 MiB) of masks; a vertex past it has its masks built
-again at each use. The masks are built here from the coordinates and not
-taken from ``cube``'s free-coordinate tables: the oracle is the check that
-the kernels are right, and a fault in a shared table would pass it.
+again at each use. At q = 0 every vertex's one mask is 0, and all share
+one list from the start. The masks are built here from the coordinates
+and not taken from ``cube``'s free-coordinate tables: the oracle is the
+check that the kernels are right, and a fault in a shared table would
+pass it.
 """
 
 from __future__ import annotations
@@ -70,7 +72,11 @@ _MAX_SCAN = 1 << 64
 
 
 class BudgetExceeded(Exception):
-    """The subset space is larger than the enumeration budget allows."""
+    """The subset space is larger than the enumeration budget allows.
+
+    ``required`` is C(2^n, k), or, when m = min(k, 2^n - k) is past 64,
+    its lower bound 2^m, which is past every scan bound already.
+    """
 
     def __init__(self, required: int, budget: int):
         self.required = required
@@ -127,8 +133,9 @@ def brute_force_mq(
     scans its 2^20 sets in well under a second.
 
     Raises BudgetExceeded before any work if C(2^n, k) exceeds the budget
-    or 2^64, whatever the budget; within 2^64 subsets the recursion is at
-    most 41 calls deep (n = 6, k = 42), far below the interpreter's limit.
+    or 2^64, whatever the budget, without computing a binomial past
+    min(k, 2^n - k) = 64; within 2^64 subsets the recursion is at most 41
+    calls deep (n = 6, k = 42), far below the interpreter's limit.
     """
     _check_dim(n)  # before 1 << n, which a huge n would make unaffordable
     _check_k(k, n)
@@ -138,7 +145,9 @@ def brute_force_mq(
         raise ValueError(f"argmax_cap must be >= 0, got {argmax_cap}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    required = comb(size, k)
+    m = min(k, size - k)
+    # C(2^n, m) > 2^m for m >= 2: past m = 64 no binomial is needed
+    required = 1 << m if m > 64 else comb(size, k)
     bound = min(budget, _MAX_SCAN)
     if required > bound:
         raise BudgetExceeded(required, bound)
@@ -253,14 +262,16 @@ class _MaskTable:
     v, which free q of v's one-bits; with ``through`` true, every subcube
     through v. Such a subcube lies inside S + {v} exactly when its mask m
     has ``bits & m == m`` for the indicator ``bits`` of S. ``kept[v]`` is
-    v's list while the lists stay within _TABLE_BYTES, else None.
+    v's list while the lists stay within _TABLE_BYTES, else None. At
+    q = 0 a vertex's one subcube is itself, whose mask is 0, so every
+    entry is the same list [0] from the start.
     """
 
     def __init__(self, n: int, q: int, through: bool):
         self.n = n
         self.q = q
         self.through = through
-        self.kept: list[list[int] | None] = [None] * (1 << n)
+        self.kept: list[list[int] | None] = [[0] if q == 0 else None] * (1 << n)
         self.room = _TABLE_BYTES - getsizeof(self.kept)
 
     def masks(self, v: int) -> list[int]:

@@ -36,12 +36,14 @@ times the third holds
 
     lead(k') + F_q(k-k') + 2^(w-1) - F_q(k)
 
-in field i. While F_q(k) is below 2^(w-1), no score is above it, so the
-sum of the first two lies below 2^w and the difference in (0, 2^(w-1)]:
-no field carries into or borrows from the next, and the top bit of field
-i, its guard bit, is set exactly when k' scores F_q(k). Whenever F_q(k)
-reaches 2^(w-1), the fields are repacked at the narrowest width that
-keeps it below.
+in field i. The width is fixed per row, the narrowest that keeps
+F_q(kmax) below 2^(w-1). Rows never decrease, so every F_q(k) of the row
+is below it too, and so is every lead(k'), at most the score of the
+split k' of 2k'. No score is above F_q(k), so the sum of the first two
+lies below 2^w and the difference in (0, 2^(w-1)]: no field carries into
+or borrows from the next, and the top bit of field i, its guard bit, is
+set exactly when k' scores F_q(k). The three integers start empty at
+k = 2 and gain one field at each even k.
 
 Independently of the recursion, a split (k-k1, k1) of k is *hypercubic*
 when k1 counts the members of {0, ..., k-1} having some fixed bit set;
@@ -51,7 +53,6 @@ exactly, while for larger q the reverse inclusion can fail.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -64,9 +65,6 @@ __all__ = [
     "find_onlyif_counterexamples",
 ]
 
-# While k/2 <= _PLAIN_HALF every split is compared in a plain loop, which
-# costs less there than packing the rows.
-_PLAIN_HALF = 48
 # build_table refuses a table of more than _MAX_SPLITS splits or
 # _MAX_CELLS values. At the split bound, (1, 16384) builds in ~0.6 s;
 # (64, 2048), whose rows q >= 12 are 0 and tie at every split, builds two
@@ -119,9 +117,9 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
 
     Each row is the closed form F_q(k) = sum over i < k of C(h(i), q). No
     split of k scores above F_q(k) (module docstring), so its maximizers
-    are the splits that reach F_q(k): compared one by one while
-    k/2 <= _PLAIN_HALF, and past it read from the guard bits of the packed
-    comparison with F_q(k). Row q depends on row q - 1 alone, so once two
+    are the splits that reach F_q(k), read from the guard bits of the
+    packed comparison with F_q(k), in fields of one width per row fixed by
+    F_q(kmax). Row q depends on row q - 1 alone, so once two
     rows are equal every later row equals them too, and is copied with its
     maximizer tuples instead of built.
 
@@ -150,35 +148,25 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
         if q == 0:
             continue
         lead = [f + g for f, g in zip(row, values[q - 1])]  # F_q(k') + F_{q-1}(k')
-        limit = 0  # 2^(w-1), the guard bit of a field; 0 until the row is packed
+        # No F_q(k) exceeds F_q(kmax), which stays below 2^(w-1): no field carries.
+        size = row[kmax].bit_length() // 8 + 1
+        width = 8 * size
+        limit, field = 1 << (width - 1), (1 << width) - 1
+        ones = guard = mask = packed_lead = packed_rev = 0
         for k in range(2, kmax + 1):
             half, target = k // 2, row[k]
-            if half <= _PLAIN_HALF:
-                maximizer_sets[(q, k)] = tuple(
-                    [kp for kp in range(1, half + 1) if lead[kp] + row[k - kp] == target]
-                )
-                continue
-            # No split scores above F_q(k); below 2^(w-1), no field carries.
-            if target >= limit:
-                size = target.bit_length() // 8 + 1
-                width, limit = 8 * size, 1 << (8 * size - 1)
-                ones = _pack([1] * half, size)
-                guard = ones << (width - 1)
-                mask = (ones << width) - ones
-                packed_lead = _pack(lead[1:half + 1], size) | guard
-                packed_rev = _pack(row[k - 1:k - 1 - half:-1], size)
-            elif k % 2:
+            if k % 2:
                 packed_rev = (packed_rev << width | row[k - 1]) & mask
             else:
                 shift = (half - 1) * width
                 ones |= 1 << shift
                 guard |= limit << shift
-                mask |= mask << width
+                mask |= field << shift
                 packed_lead |= (limit | lead[half]) << shift
                 packed_rev = packed_rev << width | row[k - 1]
             hits = (packed_lead + packed_rev - target * ones) & guard
             maximizer_sets[(q, k)] = (
-                tuple(range(1, half + 1)) if hits == guard else tuple(_marked(hits, half, size))
+                tuple(range(1, half + 1)) if hits == guard else _marked(hits, half, size)
             )
     last = len(values) - 1
     values += [values[last][:] for _ in range(last, qmax)]
@@ -190,18 +178,15 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
     return RecursionTable(qmax=qmax, kmax=kmax, values=values, maximizer_sets=maximizer_sets)
 
 
-def _pack(fields: list[int], size: int) -> int:
-    """The integer whose field i of ``size`` bytes holds ``fields[i]``."""
-    return int.from_bytes(b"".join(f.to_bytes(size, "little") for f in fields), "little")
-
-
-def _marked(hits: int, fields: int, size: int) -> Iterator[int]:
-    """Yield k' = i + 1, ascending, for every field i whose guard bit is set."""
+def _marked(hits: int, fields: int, size: int) -> tuple[int, ...]:
+    """The ascending k' = i + 1 of every field i whose guard bit is set."""
     marks = hits.to_bytes(fields * size, "little")
+    found = []
     at = marks.find(128)  # a guard bit is the top bit of a field's last byte
     while at >= 0:
-        yield at // size + 1
+        found.append(at // size + 1)
         at = marks.find(128, at + size)
+    return tuple(found)
 
 
 def hypercubic_partitions(k: int) -> set[int]:

@@ -106,14 +106,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "build_table: fields widened one bit too late",
+        "build_table: a row's fields one bit too narrow",
         "recursion.py",
-        "if target >= limit:",
-        "if target >= limit << 1:",
+        "size = row[kmax].bit_length() // 8 + 1",
+        "size = (row[kmax].bit_length() - 1) // 8 + 1",
         "tests/test_recursion.py",
         "full_scan or tail_rule",
         (
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-600]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[3-2560]",
             "tests/test_recursion.py::TestMaximizers::test_tail_rule",
         ),
     ),

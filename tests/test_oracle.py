@@ -1,5 +1,6 @@
 """Tests for the exhaustive k-subset oracle."""
 
+import time
 from itertools import combinations
 from math import comb
 from sys import getsizeof
@@ -10,6 +11,7 @@ from cubeseg.cube import VertexSet, initial_segment
 from cubeseg.oracle import (
     _TABLE_BYTES,
     BudgetExceeded,
+    OracleResult,
     _complement_walk,
     _forward_walk,
     _MaskTable,
@@ -56,6 +58,20 @@ class TestBruteForce:
         assert res.max_count == comb(20, 10) * (2**10 - 1)
         assert res.total_subsets_scanned == 2**20
         assert res.argmax_examples == (initial_segment(2**20 - 1, 20),)
+
+    def test_singletons_of_the_20_cube_at_q_zero(self):
+        # Every vertex is its own 0-subcube: each of the 2^20 singletons
+        # scores 1, against the one mask list all vertices share.
+        res = brute_force_mq(20, 1, 0)
+        assert res == OracleResult(
+            n=20,
+            k=1,
+            q=0,
+            max_count=1,
+            argmax_examples=tuple(VertexSet(20, [v]) for v in range(4)),
+            total_subsets_scanned=2**20,
+            matches_formula=True,
+        )
 
     def test_two_removed_from_the_8_cube(self):
         # Removing two vertices from the 8-cube; the maximum keeps the
@@ -106,16 +122,35 @@ class TestBruteForce:
         # subsets starts: the forward walk would recurse 1023 calls deep.
         with pytest.raises(BudgetExceeded) as exc:
             brute_force_mq(11, 1024, 1, budget=10**700)
-        assert exc.value.required == comb(2048, 1024)
+        assert exc.value.required == 2**1024 < comb(2048, 1024)
         assert exc.value.budget == 2**64
-        assert str(exc.value) == f"enumeration needs more than 2^2042 subsets, budget allows {2**64}"
+        assert str(exc.value) == f"enumeration needs more than 2^1024 subsets, budget allows {2**64}"
         # a budget past the bound still runs every scan within it
         assert brute_force_mq(4, 8, 1, budget=2**70).total_subsets_scanned == 12870
 
     def test_count_past_the_digit_limit_is_refused(self):
-        # C(2^16, 2^15) has ~19,700 decimal digits, more than str() prints
-        with pytest.raises(BudgetExceeded, match=r"needs more than 2\^65527 subsets"):
+        # 2^32768, the bound that stands for C(2^16, 2^15), has ~9,900
+        # decimal digits, more than str() prints
+        with pytest.raises(BudgetExceeded, match=r"needs more than 2\^32768 subsets"):
             brute_force_mq(16, 2**15, 1)
+
+    def test_refused_without_the_binomial(self):
+        # C(2^20, 2^19) takes ~12 s to compute; since C(N, m) > 2^m for
+        # m = min(k, N - k) >= 2, an m past 64 is refused at 2^m without it.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=r"needs more than 2\^524288 subsets") as exc:
+            brute_force_mq(20, 2**19, 1)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.required == 2**524288
+        # m is 65 at k = 65 and k = 191 of the 8-cube, and 64 at k = 192,
+        # whose binomial is exact
+        for k in (65, 191):
+            with pytest.raises(BudgetExceeded) as exc:
+                brute_force_mq(8, k, 1, budget=10**100)
+            assert exc.value.required == 2**65 < comb(256, 65)
+        with pytest.raises(BudgetExceeded) as exc:
+            brute_force_mq(8, 192, 1)
+        assert exc.value.required == comb(256, 64)
 
     def test_initial_segment_leads_argmax(self):
         for n in range(1, 4):
@@ -214,6 +249,12 @@ class TestMaskTable:
                     sum(1 << u for u in cube if u != v) for cube in cubes if max(cube) == v
                 )
                 assert sorted(top.masks(v)) == expected, (q, v)
+
+    def test_q_zero_shares_one_list(self):
+        # A vertex's one 0-subcube is itself, whose mask without it is 0.
+        for through in (False, True):
+            kept = _MaskTable(4, 0, through=through).kept
+            assert kept[0] == [0] and all(masks is kept[0] for masks in kept)
 
     def test_kept_masks_stay_within_the_byte_bound(self):
         # All 66 subcubes of dimension 2 through each vertex of the

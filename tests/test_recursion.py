@@ -62,21 +62,24 @@ class TestBuildTable:
             for k in range(2, 65):
                 assert table.maximizer_sets[(q, k)]
 
-    # Past k = 2 * _PLAIN_HALF + 1 build_table takes the maximizers from
-    # the guard bits of its packed comparison with F_q(k).
-    # (6, 2 * _PLAIN_HALF + 2) holds the last plain k and the first packed
-    # ones; (8, 600) widens its fields from 8 to 16 bits at k = 110, 190,
-    # 348 and 512 (rows 4 to 7); (3, 1100) holds k = 2^m - 1,
-    # 2^m, 2^m + 1 for m = 9 and m = 10; every split of the rows q >= 9 of
-    # (12, 300) ties, and (3, 1) .. (3, 3) score at most one split per k.
+    # build_table takes every maximizer from the guard bits of its packed
+    # comparison with F_q(k), in fields whose width each row fixes from
+    # F_q(kmax). Row 7 of (8, 600) ends at 8 bits (F_7(600) = 145) and
+    # row 3 of (3, 2560) at 16 (F_3(2560) = 52224), so each needs one more
+    # byte for its guard bit: in 8- and 16-bit fields, lead(k/2) reaches
+    # the guard bit from k = 512 and k = 2548. (6, 98) holds the small k
+    # of every row; (3, 1100) holds k = 2^m - 1, 2^m, 2^m + 1 for m = 9
+    # and m = 10; every split of the rows q >= 9 of (12, 300) ties, and
+    # (3, 1) .. (3, 3) score at most one split per k.
     # Rows 9 and 10 of (12, 300), 6 and 7 of (16, 40) and 7 and 8 of
     # (30, 100) are equal, and every row after them is copied.
     @pytest.mark.parametrize(
         "qmax,kmax",
         [
-            (6, 2 * recursion._PLAIN_HALF + 2),
+            (6, 98),
             (8, 600),
             (3, 1100),
+            (3, 2560),
             (12, 300),
             (16, 40),
             (30, 100),
