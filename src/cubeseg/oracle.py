@@ -7,39 +7,38 @@ formula. The scan shares nothing with the two counting kernels;
 walked as a recursion over the tree of their prefixes: each call picks
 the next member and passes the new prefix's indicator and count down, so
 the call stack holds the prefix and each prefix is pushed once. The call
-that picks the last member scores it over its whole range in one loop.
-There are two walks, and which one runs depends on (n, k) alone:
+that makes the last pick scores it over its whole range in one loop.
 
-* The forward walk pushes the members of S. Pushing a vertex v adds the
-  number of q-subcubes inside the prefix whose highest vertex is v, which
-  is the per-vertex reading of the paper's sum over i < k of C(h(i), q).
-* The complement walk, for k near 2^n, picks the removed set T, which
-  has r = 2^n - k members. It starts from the C(n, q) * 2^(n-q) subcubes
-  of the whole cube, and removing u subtracts the q-subcubes inside the
-  current set that contain u, counted before u is removed. A near-full
-  scan thus recurses r - 1 calls deep instead of k - 1.
+The one walk runs in one of two directions, chosen from (n, k) alone:
+upward it picks the k kept vertices of S from the empty set, downward
+the r = 2^n - k removed vertices of T from the whole cube, whichever
+recurses fewer calls deep (upward at k = 2^(n-1), where they tie).
+Picking a vertex v flips its bit in the set's indicator. Upward this adds
+the q-subcubes of the new prefix whose highest vertex is v, the
+per-vertex reading of the paper's sum over i < k of C(h(i), q).
+Downward it subtracts the q-subcubes of the current set through v,
+counted before v is removed, from the C(n, q) * 2^(n-q) of the whole
+cube.
 
-Both visit the sets in the same order. S1 < S2 exactly when the smallest
-element of S1 △ S2 lies in S1, and S1 △ S2 = T1 △ T2, so S ascending is
-T descending. The complement walk picks each member of T downward, which
-takes T in reverse lexicographic order, and the counts and the capped
-argmax list are the same as the forward walk's.
+Both directions visit the sets in the same order. S1 < S2 exactly when
+the smallest element of S1 △ S2 lies in S1, and S1 △ S2 = T1 △ T2, so S
+ascending is T descending. Downward each member of T is picked from the
+top of its range, which takes T in reverse lexicographic order, and the
+counts and the capped argmax list are the same either way.
 
 A vertex is scored against a table that each scan fills as it goes: for
 each vertex v, the 2^n-bit masks of the q-subcubes the walk scores at v,
 each without v itself, so a set holds such a subcube exactly when its
-indicator ``bits`` has ``bits & m == m``. The forward walk's table holds
-the C(h(v), q) subcubes topped by v and the complement walk's the C(n, q)
-through v. Two tests skip the table: the forward walk scores 0 while the
-prefix has fewer than 2^q - 1 members, which a q-subcube needs besides v,
-and the complement walk scores C(n, q) while nothing has been removed, so
-a scan with one removal builds no mask. A table keeps at most
-``_TABLE_BYTES`` (64 MiB) of masks; a vertex past it has its masks built
-again at each use. At q = 0 every vertex's one mask is 0, and all share
-one list from the start. The masks are built here from the coordinates
-and not taken from ``cube``'s free-coordinate tables: the oracle is the
-check that the kernels are right, and a fault in a shared table would
-pass it.
+indicator ``bits`` has ``bits & m == m``. Picks before a fixed depth skip
+the table: upward a pick scores 0 while fewer than 2^q - 1 members, which
+a q-subcube needs besides v, precede it, and downward the first removal's
+C(n, q) is taken before the walk starts, so a scan with one removal builds
+no mask. A table keeps at most ``_TABLE_BYTES`` (64 MiB) of masks; a
+vertex past it has its masks built again at each use. At q = 0 every
+vertex's one mask is 0, and all share one list from the start. The masks
+are built here from the coordinates and not taken from ``cube``'s
+free-coordinate tables: the oracle is the check that the kernels are
+right, and a fault in a shared table would pass it.
 """
 
 from __future__ import annotations
@@ -65,9 +64,9 @@ __all__ = [
 DEFAULT_BUDGET = 20_000_000
 DEFAULT_ARGMAX_CAP = 4
 
-# Largest scan started whatever the budget. The walks recurse once per
-# member they pick, and C(2^n, k) >= 2^depth for every n <= 20, so no scan
-# of at most 2^64 subsets nests more than 41 calls (n = 6, k = 42).
+# Largest scan started whatever the budget. The walk recurses once per
+# member it picks, and C(2^n, k) >= 2^depth for every n <= 20, so no scan
+# of at most 2^64 subsets nests more than 31 calls (n = 6, k = 32).
 _MAX_SCAN = 1 << 64
 
 
@@ -116,26 +115,23 @@ def brute_force_mq(
 
     Visits all C(2^n, k) subsets in lexicographic order of their sorted
     member sequences, so results (including the capped argmax list) are
-    deterministic. When 3k > 2^(n+1) the scan walks the 2^n - k removed
+    deterministic. When 2k > 2^n + 1 the scan picks the 2^n - k removed
     vertices in reverse lexicographic order instead, which is the same
-    order of the sets (see the module docstring); the switch depends on
-    (n, k) alone. It was placed where the two walks cost the same at
-    n = 3 and 4 before the mask tables, which moved that point down to
-    k = 5 and 9, about 2k = 2^n + 2. Both walks recurse over the prefix
-    tree, one call per picked member: k - 1 calls deep forward,
-    2^n - k - 1 on the complement.
+    order of the sets (see the module docstring); the direction depends
+    on (n, k) alone, and the walk recurses over the prefix tree, one call
+    per picked member: k - 1 calls deep upward, 2^n - k - 1 downward.
 
     Each picked vertex is scored by testing the set against the masks of
     the subcubes it completes, from a table the scan fills at first use
-    and keeps within 64 MiB. The forward walk scores nothing while the
-    prefix is too small to hold a q-subcube, and the complement walk's
-    first removal takes C(n, q) without a mask, so ``(20, 2^20 - 1, q)``
-    scans its 2^20 sets in well under a second.
+    and keeps within 64 MiB. Upward nothing is scored while the prefix is
+    too small to hold a q-subcube, and downward the first removal takes
+    C(n, q) without a mask, so ``(20, 2^20 - 1, q)`` scans its 2^20 sets
+    in well under a second.
 
     Raises BudgetExceeded before any work if C(2^n, k) exceeds the budget
     or 2^64, whatever the budget, without computing a binomial past
-    min(k, 2^n - k) = 64; within 2^64 subsets the recursion is at most 41
-    calls deep (n = 6, k = 42), far below the interpreter's limit.
+    min(k, 2^n - k) = 64; within 2^64 subsets the recursion is at most 31
+    calls deep (n = 6, k = 32), far below the interpreter's limit.
     """
     _check_dim(n)  # before 1 << n, which a huge n would make unaffordable
     _check_k(k, n)
@@ -152,10 +148,7 @@ def brute_force_mq(
     if required > bound:
         raise BudgetExceeded(required, bound)
 
-    if 3 * k > 2 * size:
-        best, examples, scanned = _complement_walk(n, k, q, argmax_cap)
-    else:
-        best, examples, scanned = _forward_walk(n, k, q, argmax_cap)
+    best, examples, scanned = _walk(n, k, q, argmax_cap, down=2 * k > size + 1)
     formula = prefix_hq(k, q)
     return OracleResult(
         n=n,
@@ -168,83 +161,51 @@ def brute_force_mq(
     )
 
 
-def _forward_walk(
-    n: int, k: int, q: int, cap: int
+def _walk(
+    n: int, k: int, q: int, cap: int, down: bool
 ) -> tuple[int, list[VertexSet], int]:
     size = 1 << n
-    table = _MaskTable(n, q, through=False)
+    if down:
+        # pick the removed vertices from the whole cube; the first
+        # removal's C(n, q) subcubes are taken before the walk starts
+        root, per_vertex = (1 << size) - 1, comb(n, q)
+        whole = per_vertex << n - q
+        if k == size:
+            return whole, [VertexSet.from_bits(n, root)] if cap else [], 1
+        step, picks, count = -1, size - k, whole - per_vertex
+        top = picks - 1
+    else:
+        # pick the kept vertices; a pick is scored once 2^q - 1 precede it
+        step, picks, root, count, top = 1, k, 0, 0, k - (1 << q) + 1
+    table = _MaskTable(n, q, through=down)
     kept, masks = table.kept, table.masks
-    need = (1 << q) - 1  # members of a q-subcube besides its top vertex
     best = -1
     examples: list[VertexSet] = []
     scanned = 0
 
-    def push(bits: int, count: int, start: int, left: int) -> None:
-        # Members from ``start`` up; ``bits`` and ``count`` are the prefix's
-        # indicator and m_q, and ``left`` members remain to be picked.
+    def pick(bits: int, count: int, start: int, left: int) -> None:
+        # The next of ``left`` picks, from ``start`` up or from 2^n - left
+        # down; ``bits`` and ``count`` are the set so far and its m_q.
         nonlocal best, examples, scanned
-        scored = k - left >= need
+        scored = left <= top
         if left == 1:
             scanned += size - start
-        for v in range(start, size - left + 1):
+        for v in range(size - left, start - 1, -1) if down else range(start, size - left + 1):
             total = count
             if scored:
                 for m in kept[v] or masks(v):
                     if bits & m == m:
-                        total += 1
+                        total += step
             if left > 1:
-                push(bits | 1 << v, total, v + 1, left - 1)
+                pick(bits ^ 1 << v, total, v + 1, left - 1)
             elif total >= best:
                 if total > best:
                     best = total
                     examples = []
                 if len(examples) < cap:
-                    examples.append(VertexSet.from_bits(n, bits | 1 << v))
+                    examples.append(VertexSet.from_bits(n, bits ^ 1 << v))
 
-    push(0, 0, 0, k)
-    return best, examples, scanned
-
-
-def _complement_walk(
-    n: int, k: int, q: int, cap: int
-) -> tuple[int, list[VertexSet], int]:
-    size = 1 << n
-    full = (1 << size) - 1
-    per_vertex = comb(n, q)
-    whole = per_vertex << (n - q)
-    if k == size:
-        return whole, [VertexSet.from_bits(n, full)] if cap else [], 1
-    table = _MaskTable(n, q, through=True)
-    kept, masks = table.kept, table.masks
-    best = -1
-    examples: list[VertexSet] = []
-    scanned = 0
-
-    def remove(bits: int, count: int, start: int, left: int) -> None:
-        # Removed vertices from 2^n - left down to ``start``; ``bits`` and
-        # ``count`` are the set left by the removed prefix and its m_q.
-        nonlocal best, examples, scanned
-        untouched = left == size - k  # nothing removed: C(n, q) through u
-        if left == 1:
-            scanned += size - start
-        for u in range(size - left, start - 1, -1):
-            if untouched:
-                total = count - per_vertex
-            else:
-                total = count
-                for m in kept[u] or masks(u):
-                    if bits & m == m:
-                        total -= 1
-            if left > 1:
-                remove(bits ^ 1 << u, total, u + 1, left - 1)
-            elif total >= best:
-                if total > best:
-                    best = total
-                    examples = []
-                if len(examples) < cap:
-                    examples.append(VertexSet.from_bits(n, bits ^ 1 << u))
-
-    remove(full, whole, 0, size - k)
+    pick(root, count, 0, picks)
     return best, examples, scanned
 
 
@@ -255,16 +216,16 @@ _TABLE_BYTES = 1 << 26
 
 
 class _MaskTable:
-    """The q-subcubes a walk scores at each vertex v, as 2^n-bit masks of
-    their vertices other than v, built at a vertex's first use.
+    """The q-subcubes the walk scores at each vertex v, as 2^n-bit masks
+    of their vertices other than v, built at a vertex's first use.
 
-    With ``through`` false these are the subcubes whose highest vertex is
-    v, which free q of v's one-bits; with ``through`` true, every subcube
-    through v. Such a subcube lies inside S + {v} exactly when its mask m
-    has ``bits & m == m`` for the indicator ``bits`` of S. ``kept[v]`` is
-    v's list while the lists stay within _TABLE_BYTES, else None. At
-    q = 0 a vertex's one subcube is itself, whose mask is 0, so every
-    entry is the same list [0] from the start.
+    Upward (``through`` false) these are the subcubes whose highest vertex
+    is v, which free q of v's one-bits; downward (``through`` true), every
+    subcube through v. Such a subcube lies inside S + {v} exactly when its
+    mask m has ``bits & m == m`` for the indicator ``bits`` of S.
+    ``kept[v]`` is v's list while the lists stay within _TABLE_BYTES, else
+    None. At q = 0 a vertex's one subcube is itself, whose mask is 0, so
+    every entry is the same list [0] from the start.
     """
 
     def __init__(self, n: int, q: int, through: bool):

@@ -163,7 +163,7 @@ MUTANTS = (
         ("tests/test_cube.py::TestTextFormat::test_duplicate_of_an_earlier_chunk",),
     ),
     Mutant(
-        "forward walk: a prefix member never reaches its last value",
+        "upward walk: a prefix member never reaches its last value",
         "oracle.py",
         "range(start, size - left + 1)",
         "range(start, size - left)",
@@ -171,31 +171,32 @@ MUTANTS = (
         "walks_agree or independent_reference",
         (
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
-            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-12-3]",
+            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-8-3]",
             "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[5-3-2]",
         ),
     ),
     Mutant(
-        "complement walk: a removed prefix member never reaches start",
+        "downward walk: a removal never reaches start",
         "oracle.py",
         "range(size - left, start - 1, -1)",
         "range(size - left, start, -1)",
         "tests/test_oracle.py",
         "walks_agree or independent_reference",
         (
-            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-14]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-9]",
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[5-30]",
-            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-3-3]",
+            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-9-3]",
         ),
     ),
-    # Masks leave out the vertex they are scored at, so a through-count
-    # taken after u's own removal equals the one taken before it; the
-    # fault left to catch is a count taken before the earlier removals.
+    # Masks leave out the vertex they are scored at, so a count taken after
+    # v's own flip equals the one taken before it; the fault left to catch
+    # is a count taken in the set the walk started from (the whole cube
+    # downward), before the earlier picks.
     Mutant(
-        "complement walk: through-count taken in the whole cube, not the set left",
+        "walk: subcubes counted in the root set, not the current one",
         "oracle.py",
-        "for m in kept[u] or masks(u):\n                    if bits & m == m:",
-        "for m in kept[u] or masks(u):\n                    if full & m == m:",
+        "if bits & m == m:",
+        "if root & m == m:",
         "tests/test_oracle.py",
         "walks_agree or two_removed",
         (
@@ -204,11 +205,14 @@ MUTANTS = (
             "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[5-2-2]",
         ),
     ),
+    # The first removal's C(n, q) is taken before the walk starts and every
+    # later removal is scored against the table; the fault is a second
+    # removal that skips the table as the first does.
     Mutant(
-        "complement walk: one removal still counted as none",
+        "downward walk: a second removal scored as the first",
         "oracle.py",
-        "untouched = left == size - k",
-        "untouched = left >= size - k - 1",
+        "top = picks - 1",
+        "top = picks - 2",
         "tests/test_oracle.py",
         "walks_agree or two_removed",
         (
@@ -218,10 +222,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "forward walk: prefix-size test one member too strict",
+        "upward walk: prefix-size test one member too strict",
         "oracle.py",
-        "need = (1 << q) - 1",
-        "need = 1 << q",
+        "k - (1 << q) + 1",
+        "k - (1 << q)",
         "tests/test_oracle.py",
         "independent_reference",
         (

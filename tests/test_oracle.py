@@ -12,9 +12,8 @@ from cubeseg.oracle import (
     _TABLE_BYTES,
     BudgetExceeded,
     OracleResult,
-    _complement_walk,
-    _forward_walk,
     _MaskTable,
+    _walk,
     brute_force_mq,
     is_optimal_set,
 )
@@ -45,7 +44,7 @@ class TestBruteForce:
     @pytest.mark.parametrize("n", [*range(1, 7), 8, 10])
     def test_all_but_one_vertex_closed_form(self, n):
         # Each missing vertex takes away the C(n, q) q-subcubes through it.
-        # The complement walk scores each of the 2^n sets with one removal.
+        # The downward walk scores each of the 2^n sets with one removal.
         for q in range(n + 1):
             res = brute_force_mq(n, 2**n - 1, q)
             assert res.max_count == comb(n, q) * (2 ** (n - q) - 1)
@@ -85,15 +84,15 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "n,k",
         [(n, k) for n in range(1, 4) for k in range(1, 2**n + 1)]
-        + [(4, k) for k in (2, 3, 8, 10, 11, 14, 15)]
+        + [(4, k) for k in (2, 3, 8, 9, 10, 11, 14, 15)]
         + [(5, 30), (5, 31), (6, 62), (6, 63)],
     )
     def test_matches_independent_reference(self, n, k):
         # Whole argmax list, in order, against itertools and an explicit
         # subcube generator. The scan walks the removed set instead once
-        # 3k > 2^(n+1): from k = 6 at n = 3 and from k = 11 at n = 4, so
-        # the n = 3 cases and n = 4 at k = 10 and 11 cover both sides of
-        # the switch. At n = 6 the complement walk scores a second removal.
+        # 2k > 2^n + 1: from k = 5 at n = 3 and from k = 9 at n = 4, so
+        # the n = 3 cases and n = 4 at k = 8 and 9 cover both sides of
+        # the switch. At n = 6 the downward walk scores a second removal.
         for q in range(n + 1):
             counts = {
                 combo: oracles.subcube_count(combo, n, q)
@@ -119,7 +118,7 @@ class TestBruteForce:
 
     def test_scan_bound_holds_whatever_the_budget(self):
         # C(2048, 1024) ~ 10^614 fits this budget, but no scan past 2^64
-        # subsets starts: the forward walk would recurse 1023 calls deep.
+        # subsets starts: the upward walk would recurse 1023 calls deep.
         with pytest.raises(BudgetExceeded) as exc:
             brute_force_mq(11, 1024, 1, budget=10**700)
         assert exc.value.required == 2**1024 < comb(2048, 1024)
@@ -172,8 +171,8 @@ class TestBruteForce:
     )
     def test_capped_argmax_is_prefix_of_uncapped(self, n, k):
         # A cap keeps the first entries of the full list, in scan order.
-        # n <= 3 covers both walks; n = 4 at k >= 11 and n = 5 at k >= 30
-        # are complement walks where ties often outnumber the cap.
+        # n <= 3 covers both directions; n = 4 at k >= 11 and n = 5 at
+        # k >= 30 walk downward, where ties often outnumber the cap.
         for q in range(n + 1):
             full = brute_force_mq(n, k, q, argmax_cap=comb(2**n, k)).argmax_examples
             for cap in range(4):
@@ -183,17 +182,17 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "n,k,cap",
         [(n, k, None) for n in range(1, 4) for k in range(1, 2**n + 1)]
-        + [(4, k, cap) for k in (*range(1, 6), *range(12, 17)) for cap in (0, 3)]
+        + [(4, k, cap) for k in (*range(1, 6), 8, 9, *range(12, 17)) for cap in (0, 3)]
         + [(5, k, 2) for k in (1, 2, 3, 29, 30, 31, 32)],
     )
     def test_walks_agree_across_the_switch(self, n, k, cap):
-        # Each walk checks the other outside the range where it runs:
+        # Each direction checks the other outside the range where it runs:
         # (best, argmax list, scanned) must be identical on both sides of
-        # 3k > 2^(n+1). None is uncapped.
+        # 2k > 2^n + 1, which n = 4 at k = 8 and 9 straddle. None is uncapped.
         if cap is None:
             cap = comb(2**n, k)
         for q in range(n + 1):
-            assert _forward_walk(n, k, q, cap) == _complement_walk(n, k, q, cap), q
+            assert _walk(n, k, q, cap, down=False) == _walk(n, k, q, cap, down=True), q
 
     def test_argmax_cap_zero(self):
         res = brute_force_mq(2, 2, 1, argmax_cap=0)
