@@ -23,27 +23,40 @@ the sources with h(i) + 1 >= t to distinct targets with h(j) >= t, so
 Hall's condition per threshold gives T(t) >= 0: no split scores above
 F_q(k), and every hypercubic split (below) reaches it. As C(t-1, q-1) > 0
 exactly when t >= q, k' maximizes F_q(k) exactly when T(t) = 0 for every
-t >= q; the maximizer sets grow with q.
+t >= q; the maximizer sets grow with q. The same T(t) >= 0 lets a plain
+sum stand for the binomial one: the loss is 0 exactly when the tail sum
+
+    sum over t >= q of T(t) = G_q(k) - G_q(k-k') - G_{q-1}(k')
+
+is, where G_q(x) = sum over i < x of max(0, h(i) - q + 1) counts each i
+once per threshold t >= q that h(i) reaches. So k' maximizes F_q(k)
+exactly when G_{q-1}(k') + G_q(k-k') = G_q(k).
 
 The table builder therefore tabulates the closed form and records, for
-every (q, k), the splits whose score equals F_q(k): the full set of
-maximizing k'. It compares every split of k at once with F_q(k), in three
-packed integers. In each, field i of w bits, w a multiple of 8, stands
-for k' = i + 1: the first holds lead(k') + 2^(w-1), with
-lead(k') = F_q(k') + F_{q-1}(k'), the second F_q(k-k'), shifted by one
-field per k, and the third a 1. The first plus the second minus F_q(k)
-times the third holds
+every (q, k), the splits that pass this test: the full set of maximizing
+k'. It makes one pass over k and tests, at each k, every split of every
+row at once, each row in three packed integers. In each, field i of w
+bits, w a multiple of 8, stands for k' = i + 1: the first holds the lead
+G_{q-1}(k') + 2^(w-1), the second G_q(k-k'), shifted by one field per k,
+and the third a 1. The first plus the second minus G_q(k) times the third
+holds
 
-    lead(k') + F_q(k-k') + 2^(w-1) - F_q(k)
+    G_{q-1}(k') + G_q(k-k') + 2^(w-1) - G_q(k)
 
-in field i. The width is fixed per row, the narrowest that keeps
-F_q(kmax) below 2^(w-1). Rows never decrease, so every F_q(k) of the row
-is below it too, and so is every lead(k'), at most the score of the
-split k' of 2k'. No score is above F_q(k), so the sum of the first two
-lies below 2^w and the difference in (0, 2^(w-1)]: no field carries into
-or borrows from the next, and the top bit of field i, its guard bit, is
-set exactly when k' scores F_q(k). The three integers start empty at
-k = 2 and gain one field at each even k.
+in field i. One width serves every row, the narrowest that keeps G_1(kmax)
+below 2^(w-1). G_q(x) falls as q grows and never falls as x grows, so
+every target G_q(k) and every reversed entry G_q(k-k') is at most
+G_1(kmax), and so is every lead: the tail sum at 2k' gives
+G_{q-1}(k') <= G_q(2k'). At k the tail sum gives
+G_{q-1}(k') + G_q(k-k') <= G_q(k), so field i holds a value in
+(0, 2^(w-1)]: no field
+carries into or borrows from the next, and the top bit of field i, its
+guard bit, is set exactly when k' maximizes F_q(k). The packed integers
+start empty at k = 2 and gain one field at each even k; the ones, the
+guard bits and the field mask are built once per k for every row. A
+maximizer of row q - 1 is one of row q, so each row's guard bits include
+those of the row before it, and a row whose guard bits equal them takes
+that row's tuple.
 
 Independently of the recursion, a split (k-k1, k1) of k is *hypercubic*
 when k1 counts the members of {0, ..., k-1} having some fixed bit set;
@@ -68,7 +81,7 @@ __all__ = [
 # build_table refuses a table of more than _MAX_SPLITS splits or
 # _MAX_CELLS values. At the split bound, (1, 16384) builds in ~0.6 s;
 # (64, 2048), whose rows q >= 12 are 0 and tie at every split, builds two
-# such rows and copies the rest, in ~0.5 s. The value bound stops tables
+# such rows and copies the rest, in ~0.3 s. The value bound stops tables
 # of few splits per value and many rows, which the split bound lets
 # through: (2^18 - 1, 4) builds in ~0.9 s, and (10^8, 1), which scores no
 # split, would need ~8 GB.
@@ -117,11 +130,12 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
 
     Each row is the closed form F_q(k) = sum over i < k of C(h(i), q). No
     split of k scores above F_q(k) (module docstring), so its maximizers
-    are the splits that reach F_q(k), read from the guard bits of the
-    packed comparison with F_q(k), in fields of one width per row fixed by
-    F_q(kmax). Row q depends on row q - 1 alone, so once two
-    rows are equal every later row equals them too, and is copied with its
-    maximizer tuples instead of built.
+    are the splits k' with G_{q-1}(k') + G_q(k-k') = G_q(k), read from
+    the guard bits of one packed comparison per row and k. All rows share
+    one field width, fixed by G_1(kmax), and one pass over k; a row whose
+    guard bits equal the previous row's takes its tuple. Row q depends on
+    row q - 1 alone, so once two rows are equal every later row equals
+    them too, and is copied with its maximizer tuples instead of built.
 
     Raises ``ValueError`` before anything is allocated when the table would
     score more than ``_MAX_SPLITS`` splits or hold more than
@@ -139,36 +153,47 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
         )
     weights = [i.bit_count() for i in range(kmax)]
     values: list[list[int]] = []
-    maximizer_sets: dict[tuple[int, int], tuple[int, ...]] = {}
     for q in range(qmax + 1):
         if q >= 2 and values[q - 1] == values[q - 2]:
             break  # every later row repeats row q - 1
-        row = [0, *accumulate(comb(w, q) for w in weights)]
-        values.append(row)
-        if q == 0:
-            continue
-        lead = [f + g for f, g in zip(row, values[q - 1])]  # F_q(k') + F_{q-1}(k')
-        # No F_q(k) exceeds F_q(kmax), which stays below 2^(w-1): no field carries.
-        size = row[kmax].bit_length() // 8 + 1
+        values.append([0, *accumulate(comb(w, q) for w in weights)])
+    last = len(values) - 1
+    # tails[q][x] = G_q(x), the sum over i < x of max(0, h(i) - q + 1)
+    tails = [[0, *accumulate(max(0, w - q + 1) for w in weights)] for q in range(last + 1)]
+    maximizer_sets: dict[tuple[int, int], tuple[int, ...]] = {}
+    if last:
+        # G_1(kmax) bounds every lead, reversed entry and target: no field carries.
+        size = tails[1][kmax].bit_length() // 8 + 1
         width = 8 * size
         limit, field = 1 << (width - 1), (1 << width) - 1
-        ones = guard = mask = packed_lead = packed_rev = 0
+        # per row q: [q, G_q, G_{q-1}, packed lead, packed reversed tail]
+        rows = [[q, tails[q], tails[q - 1], 0, 0] for q in range(1, last + 1)]
+        ones = guard = mask = 0
         for k in range(2, kmax + 1):
-            half, target = k // 2, row[k]
-            if k % 2:
-                packed_rev = (packed_rev << width | row[k - 1]) & mask
-            else:
+            half = k // 2
+            odd = k % 2
+            if not odd:
                 shift = (half - 1) * width
                 ones |= 1 << shift
                 guard |= limit << shift
                 mask |= field << shift
-                packed_lead |= (limit | lead[half]) << shift
-                packed_rev = packed_rev << width | row[k - 1]
-            hits = (packed_lead + packed_rev - target * ones) & guard
-            maximizer_sets[(q, k)] = (
-                tuple(range(1, half + 1)) if hits == guard else _marked(hits, half, size)
-            )
-    last = len(values) - 1
+            seen = 0  # the previous row's hits: row q marks every split row q - 1 marks
+            for row in rows:
+                q, tail, below, lead, rev = row
+                if odd:
+                    rev = (rev << width | tail[k - 1]) & mask
+                else:
+                    lead |= (limit | below[half]) << shift
+                    rev = rev << width | tail[k - 1]
+                    row[3] = lead
+                row[4] = rev
+                hits = (lead + rev - tail[k] * ones) & guard
+                if hits != seen:
+                    seen = hits
+                    found = (
+                        tuple(range(1, half + 1)) if hits == guard else _marked(hits, half, size)
+                    )
+                maximizer_sets[(q, k)] = found
     values += [values[last][:] for _ in range(last, qmax)]
     maximizer_sets.update(
         ((q, k), maximizer_sets[(last, k)])

@@ -95,8 +95,26 @@ MUTANTS = (
     Mutant(
         "build_table: guard offset one short, so the maximizers go unmarked",
         "recursion.py",
-        "- target * ones) & guard",
-        "- (target + 1) * ones) & guard",
+        "- tail[k] * ones) & guard",
+        "- (tail[k] + 1) * ones) & guard",
+        "tests/test_recursion.py",
+        "full_scan or tail_rule",
+        (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-600]",
+            "tests/test_recursion.py::TestMaximizers::test_tail_rule",
+        ),
+    ),
+    # A shared width one byte short is caught only at kmax = 1, where it is
+    # 0 and the guard shift fails. Only the leads and the losses must stay
+    # below 2^(w-1), and in no tested table does one byte less let either
+    # reach it (see CHANGES.md). A width fixed from the last row's tail
+    # sums, the smallest, is caught.
+    Mutant(
+        "build_table: fields sized from the last row's tail sums",
+        "recursion.py",
+        "size = tails[1][kmax].bit_length() // 8 + 1",
+        "size = tails[last][kmax].bit_length() // 8 + 1",
         "tests/test_recursion.py",
         "full_scan or tail_rule",
         (
@@ -106,16 +124,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "build_table: a row's fields one bit too narrow",
+        "build_table: a row takes the previous row's tuple when the top marks agree",
         "recursion.py",
-        "size = row[kmax].bit_length() // 8 + 1",
-        "size = (row[kmax].bit_length() - 1) // 8 + 1",
+        "if hits != seen:",
+        "if hits.bit_length() != seen.bit_length():",
         "tests/test_recursion.py",
-        "full_scan or tail_rule",
+        "full_scan",
         (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-600]",
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[3-2560]",
-            "tests/test_recursion.py::TestMaximizers::test_tail_rule",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[3-1100]",
+        ),
+    ),
+    Mutant(
+        "build_table: tail sums count one threshold too many",
+        "recursion.py",
+        "max(0, w - q + 1)",
+        "max(0, w - q + 2)",
+        "tests/test_recursion.py",
+        "full_scan",
+        (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[4-48]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[12-300]",
         ),
     ),
     Mutant(

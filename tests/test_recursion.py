@@ -63,20 +63,22 @@ class TestBuildTable:
                 assert table.maximizer_sets[(q, k)]
 
     # build_table takes every maximizer from the guard bits of its packed
-    # comparison with F_q(k), in fields whose width each row fixes from
-    # F_q(kmax). Row 7 of (8, 600) ends at 8 bits (F_7(600) = 145) and
-    # row 3 of (3, 2560) at 16 (F_3(2560) = 52224), so each needs one more
-    # byte for its guard bit: in 8- and 16-bit fields, lead(k/2) reaches
-    # the guard bit from k = 512 and k = 2548. (6, 98) holds the small k
-    # of every row; (3, 1100) holds k = 2^m - 1, 2^m, 2^m + 1 for m = 9
-    # and m = 10; every split of the rows q >= 9 of (12, 300) ties, and
-    # (3, 1) .. (3, 3) score at most one split per k.
+    # tail-sum test, in fields of one width for every row, fixed from
+    # G_1(kmax) = sum over i < kmax of h(i). That sum reaches 2^7 at
+    # kmax = 48 and 2^8 at kmax = 86, so (4, 48) is the first table in
+    # 16-bit fields and (6, 86) packs G_1(86) = 259 in them, as (8, 600)
+    # and (3, 2560) pack G_1 = 2660 and 14080 near the other end. (6, 98)
+    # holds the small k of every row; (3, 1100) holds k = 2^m - 1, 2^m,
+    # 2^m + 1 for m = 9 and m = 10; every split of the rows q >= 9 of
+    # (12, 300) ties, and (3, 1) .. (3, 3) score at most one split per k.
     # Rows 9 and 10 of (12, 300), 6 and 7 of (16, 40) and 7 and 8 of
     # (30, 100) are equal, and every row after them is copied.
     @pytest.mark.parametrize(
         "qmax,kmax",
         [
             (6, 98),
+            (4, 48),
+            (6, 86),
             (8, 600),
             (3, 1100),
             (3, 2560),
@@ -181,6 +183,22 @@ class TestMaximizers:
     def test_tail_rule(self):
         expected = oracles.tail_rule_maximizer_sets(8, 1024)
         assert build_table(8, 1024).maximizer_sets == expected
+
+    # A maximizer of row q - 1 is one of row q: its T(t) is 0 for every
+    # t >= q - 1, so for every t >= q (module docstring).
+    def test_maximizers_nest(self):
+        sets = build_table(8, 1024).maximizer_sets
+        for q in range(2, 9):
+            for k in range(2, 1025):
+                assert set(sets[(q - 1, k)]) <= set(sets[(q, k)])
+
+    # For q = 1 the maximizers are exactly the hypercubic splits, checked
+    # without the recursion. G_1(5462) = 32773 is past 2^15, so the table's
+    # fields are 24 bits wide, one byte more than at kmax = 5461.
+    def test_row_one_is_hypercubic(self):
+        sets = build_table(2, 5462).maximizer_sets
+        for k in range(2, 5463):
+            assert sets[(1, k)] == tuple(sorted(hypercubic_partitions(k)))
 
 
 class TestHypercubicPartitions:
