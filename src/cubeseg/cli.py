@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="vertex file, one vertex per line")
     p.add_argument(
         "--input-format",
-        choices=("decimal", "binary"),
+        choices=cube._FORMATS,
         default="decimal",
         help="vertex file format (default: decimal)",
     )
@@ -118,7 +118,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "--input-format",
-        choices=("decimal", "binary"),
+        choices=cube._FORMATS,
         default="decimal",
         help="format of the emitted vertex file (default: decimal)",
     )
@@ -192,7 +192,7 @@ def _cmd_optimal(ns) -> _Report:
     cube._check_q(ns.q, ns.dim)
     cube._check_k(ns.k, ns.dim)
     value = prefix_hq(ns.k, ns.q)
-    if ns.emit_set:
+    if ns.emit_set is not None:
         cube.save_vertex_set(cube.initial_segment(ns.k, ns.dim), ns.emit_set, ns.input_format)
     return _Report({"optimal_count": value}, [["optimal_count"], [value]], [[value]])
 

@@ -65,6 +65,9 @@ __all__ = [
 # through a 2^n-byte mark array, so one set at n = 20 is built in 1 MiB.
 _MAX_DIM = 20
 
+# The vertex-file formats; see parse_vertex_set.
+_FORMATS = ("decimal", "binary")
+
 
 class DegenerateSplit(ValueError):
     """Raised when a decomposition needs both sides of a split non-empty."""
@@ -371,6 +374,11 @@ def three_term_report(S: VertexSet, q: int, r: int) -> DecompositionReport:
     )
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in _FORMATS:
+        raise ValueError(f"format must be 'decimal' or 'binary', got {fmt!r}")
+
+
 def parse_vertex_set(lines: Iterable[str], dim: int, fmt: str = "decimal") -> VertexSet:
     """Parse the one-vertex-per-line text format into a VertexSet.
 
@@ -388,8 +396,7 @@ def parse_vertex_set(lines: Iterable[str], dim: int, fmt: str = "decimal") -> Ve
     parser, which raises at the first bad line.
     """
     _check_dim(dim)
-    if fmt not in ("decimal", "binary"):
-        raise ValueError(f"format must be 'decimal' or 'binary', got {fmt!r}")
+    _check_format(fmt)
     limit = 1 << dim
     width = len(str(limit - 1)) if fmt == "decimal" else dim
     marks = bytearray(limit)
@@ -485,11 +492,10 @@ def load_vertex_set(path, dim: int, fmt: str = "decimal") -> VertexSet:
 
 
 def _vertex_lines(S: VertexSet, fmt: str) -> Iterator[str]:
+    _check_format(fmt)
     if fmt == "decimal":
         return map(str, S)
-    if fmt == "binary":
-        return map(format, S, repeat(f"0{S.dim}b"))
-    raise ValueError(f"format must be 'decimal' or 'binary', got {fmt!r}")
+    return map(format, S, repeat(f"0{S.dim}b"))
 
 
 def render_vertex_lines(S: VertexSet, fmt: str = "decimal") -> list[str]:

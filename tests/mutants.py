@@ -278,6 +278,24 @@ MUTANTS = (
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
         ),
     ),
+    Mutant(
+        "package __all__ skips weights",
+        "__init__.py",
+        ", *weights.__all__",
+        "",
+        "tests/test_package.py",
+        "all_joins_the_modules",
+        ("tests/test_package.py::TestSurface::test_all_joins_the_modules",),
+    ),
+    Mutant(
+        "an empty --emit-set path is skipped",
+        "cli.py",
+        "if ns.emit_set is not None:",
+        "if ns.emit_set:",
+        "tests/test_cli.py",
+        "empty_emit_path",
+        ("tests/test_cli.py::TestOptimal::test_empty_emit_path_is_input_error",),
+    ),
 )
 
 

@@ -3,8 +3,9 @@
 Everything here is deliberately written against different primitives than
 the package under test (math.comb, string popcounts, itertools-based
 subcube generation, recursive-descent recursion evaluation, an unpruned
-scan of every split, the tail rule for maximizer sets) so that an
-agreement between the two is meaningful.
+scan of every split, the tail rule for maximizer sets, compression on
+Python sets of members) so that an agreement between the two is
+meaningful.
 """
 
 from itertools import combinations, permutations, product
@@ -149,6 +150,23 @@ def tail_rule_maximizer_sets(qmax: int, kmax: int) -> dict:
                 for q in range(top + 1, qmax + 1):
                     sets[(q, k)].append(kp)
     return {key: tuple(args) for key, args in sets.items()}
+
+
+def compress(bits: int, n: int, i: int) -> int:
+    """The i-compression of the n-cube set with indicator ``bits``.
+
+    The halves (A, B) of the set along coordinate i, its members with
+    x_i = 0 and x_i = 1 read as sets of the other coordinates, become
+    (A ∪ B, A ∩ B). Works on the members as a Python set.
+    """
+    members = {v for v in range(1 << n) if bits >> v & 1}
+    out = set()
+    for v in members:
+        low = v & ~(1 << i)
+        out.add(low)
+        if low in members and low | 1 << i in members:
+            out.add(low | 1 << i)
+    return sum(1 << v for v in out)
 
 
 def ones_below(k: int, r: int) -> int:

@@ -185,6 +185,13 @@ class TestOptimal:
         assert rc == 0
         assert out == "7\n"
 
+    def test_empty_emit_path_is_input_error(self, capsys):
+        rc, out, err = invoke(
+            capsys, ["optimal", "--dim", "3", "--q", "1", "--k", "6", "--emit-set", ""]
+        )
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
     def test_k_beyond_cube_is_usage_error(self, capsys):
         rc, out, err = invoke(capsys, ["optimal", "--dim", "2", "--q", "1", "--k", "5"])
         assert rc == 1 and out == ""

@@ -352,6 +352,42 @@ class TestCountingKernels:
             assert count_subcubes_bitparallel(S, q) <= prefix_hq(len(S), q)
 
 
+class TestCompression:
+    """The i-compression [BL1990] never lowers m_q.
+
+    A q-subcube that frees coordinate i is a (q-1)-subcube of A ∩ B, which
+    the compression keeps; any other lies on one side, and
+    [c ⊆ A] + [c ⊆ B] <= [c ⊆ A ∪ B] + [c ⊆ A ∩ B].
+    """
+
+    @staticmethod
+    def counts(bits, n):
+        S = VertexSet.from_bits(n, bits)
+        return [count_subcubes_naive(S, q) for q in range(n + 1)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_set_and_coordinate(self, n):
+        for bits in range(1 << (1 << n)):
+            before = self.counts(bits, n)
+            for i in range(n):
+                after = oracles.compress(bits, n, i)
+                assert after.bit_count() == bits.bit_count(), (bits, i)
+                assert all(b <= a for b, a in zip(before, self.counts(after, n))), (bits, i)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_compressing_to_a_fixed_point_ends_at_a_down_set(self, n):
+        rng = random.Random(n)
+        for _ in range(8):
+            bits = rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+            down = bits
+            while (moved := [oracles.compress(down, n, i) for i in range(n)]) != [down] * n:
+                down = next(c for c in moved if c != down)
+            members = [v for v in range(1 << n) if down >> v & 1]
+            assert all(down >> (v & ~(1 << r)) & 1 for v in members for r in range(n))
+            assert down.bit_count() == bits.bit_count()
+            assert all(b <= a for b, a in zip(self.counts(bits, n), self.counts(down, n)))
+
+
 class TestThreeTermReport:
     def test_full_square_is_exact(self):
         rep = three_term_report(VertexSet(2, [0, 1, 2, 3]), 1, 0)
