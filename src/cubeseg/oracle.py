@@ -1,7 +1,8 @@
 """Ground-truth maxima by exhaustive search over all k-subsets.
 
-The oracle enumerates every k-element vertex subset of the n-cube in
-lexicographic order and compares the maximum against the prefix-sum
+The oracle decides every k-element vertex subset of the n-cube in
+lexicographic order, scoring it or cutting it with a subtree that cannot
+change the result, and compares the maximum against the prefix-sum
 formula. The scan shares nothing with the two counting kernels;
 ``is_optimal_set`` checks one given set with the naive kernel. Subsets are
 walked as a recursion over the tree of their prefixes: each call picks
@@ -39,6 +40,34 @@ vertex's one mask is 0, and all share one list from the start. The masks
 are built here from the coordinates and not taken from ``cube``'s
 free-coordinate tables: the oracle is the check that the kernels are
 right, and a fault in a shared table would pass it.
+
+The walk is a branch and bound that changes no result. Before it enters
+the subtree below a pick, it takes a ceiling, an upper bound on m_q of
+every set in the subtree, and cuts the subtree when the ceiling is below
+the best count so far, or equal to it once the argmax list holds
+``argmax_cap`` sets: no set there could raise the maximum or enter the
+list. A cut subtree's sets are counted as scanned all the same, so every
+set is scored or cut, and the maximum, the argmax list and the count are
+those of the full scan.
+- Downward the ceiling is the current count, since a removal never adds
+  a subcube; at q = 0, where each removal takes exactly one, it is the
+  count less the removals still to come.
+- Upward it is the smaller of two bounds. One is the count plus C(n, q)
+  for each scored pick still to come, the most subcubes a pick can top.
+  The other is the m_q of the universe P + [v, 2^n), the picked vertices
+  P and the ones still pickable, which holds every set below. Levels
+  with at least ``_TRACKED`` picks left keep that count: it starts at the
+  whole cube's and drops, as the loop passes each v, by the subcubes
+  through v inside the universe. With nothing picked these are the
+  C(n - h(v), q) whose lowest vertex v is; below that, a second table of
+  every mask through v, within the same 64 MiB, finds them. Once the
+  universe's ceiling falls short, every later sibling is cut with it.
+
+The ceilings hold for every set, so no result depends on the theorem
+under test. The theorem only makes the cut deep: the first set in scan
+order is the initial segment, so the best count is final after one leaf,
+and the C(32, 16) sets of (5, 16, 4) are decided in a fraction of a
+second.
 """
 
 from __future__ import annotations
@@ -92,7 +121,9 @@ class OracleResult:
 
     ``argmax_examples`` holds the lexicographically smallest maximizing
     sets, capped; ``matches_formula`` records whether the maximum equals
-    the prefix-sum value for (k, q).
+    the prefix-sum value for (k, q). ``total_subsets_scanned`` counts the
+    sets decided, scored or cut unscored with a subtree whose ceiling
+    shows that none of them changes the result, so it is C(2^n, k).
     """
 
     n: int
@@ -113,7 +144,7 @@ def brute_force_mq(
 ) -> OracleResult:
     """Maximize the q-subcube count over all k-subsets of the n-cube.
 
-    Visits all C(2^n, k) subsets in lexicographic order of their sorted
+    Decides all C(2^n, k) subsets in lexicographic order of their sorted
     member sequences, so results (including the capped argmax list) are
     deterministic. When 2k > 2^n + 1 the scan picks the 2^n - k removed
     vertices in reverse lexicographic order instead, which is the same
@@ -127,6 +158,13 @@ def brute_force_mq(
     too small to hold a q-subcube, and downward the first removal takes
     C(n, q) without a mask, so ``(20, 2^20 - 1, q)`` scans its 2^20 sets
     in well under a second.
+
+    A subtree of sets is cut unscored when a ceiling on their counts is
+    below the best count so far, or equal to it once ``argmax_cap`` sets
+    are listed. The ceiling holds for every set, whatever the maximum
+    (the module docstring gives it), so a cut set could neither raise the
+    maximum nor enter the list, and the result is the full scan's. Cut
+    sets count as scanned: ``total_subsets_scanned`` is C(2^n, k).
 
     Raises BudgetExceeded before any work if C(2^n, k) exceeds the budget
     or 2^64, whatever the budget, without computing a binomial past
@@ -165,31 +203,49 @@ def _walk(
     n: int, k: int, q: int, cap: int, down: bool
 ) -> tuple[int, list[VertexSet], int]:
     size = 1 << n
+    ones = (1 << size) - 1
+    per_vertex = comb(n, q)
+    whole = per_vertex << n - q
     if down:
         # pick the removed vertices from the whole cube; the first
         # removal's C(n, q) subcubes are taken before the walk starts
-        root, per_vertex = (1 << size) - 1, comb(n, q)
-        whole = per_vertex << n - q
         if k == size:
-            return whole, [VertexSet.from_bits(n, root)] if cap else [], 1
-        step, picks, count = -1, size - k, whole - per_vertex
-        top = picks - 1
+            return whole, [VertexSet.from_bits(n, ones)] if cap else [], 1
+        step, picks, root, count = -1, size - k, ones, whole - per_vertex
+        # a later removal takes no subcube at least, and at q = 0 exactly one
+        top, reach = picks - 1, -1 if q == 0 else 0
     else:
-        # pick the kept vertices; a pick is scored once 2^q - 1 precede it
-        step, picks, root, count, top = 1, k, 0, 0, k - (1 << q) + 1
+        # pick the kept vertices; a pick is scored once 2^q - 1 precede it,
+        # and adds at most the C(n, q) subcubes whose highest vertex it is
+        step, picks, root, count, top = 1, k, 0, 0, max(0, k - (1 << q) + 1)
+        reach = per_vertex
     table = _MaskTable(n, q, through=down)
     kept, masks = table.kept, table.masks
+    # upward, levels with _TRACKED picks left also keep the m_q of their
+    # universe (see the module docstring), unless the count ceiling is
+    # exact already: at q = 0, or when no pick is scored
+    track = not down and q > 0 and top > 0 and picks >= _TRACKED
+    if track:
+        through = _MaskTable(n, q, through=True, beside=table)
+        around, ring = through.kept, through.masks
     best = -1
+    # the least count a set needs to change the result: best while the
+    # argmax list has room, best + 1 once it holds cap sets
+    bar = -1 if cap else 0
     examples: list[VertexSet] = []
     scanned = 0
 
-    def pick(bits: int, count: int, start: int, left: int) -> None:
+    def pick(bits: int, count: int, start: int, left: int, universe: int) -> None:
         # The next of ``left`` picks, from ``start`` up or from 2^n - left
-        # down; ``bits`` and ``count`` are the set so far and its m_q.
-        nonlocal best, examples, scanned
+        # down; ``bits`` and ``count`` are the set so far and its m_q, and
+        # ``universe`` is at least the m_q of every set below.
+        nonlocal best, bar, examples, scanned
         scored = left <= top
         if left == 1:
             scanned += size - start
+        else:
+            lift = min(left - 1, top) * reach
+            shrink = track and left >= _TRACKED
         for v in range(size - left, start - 1, -1) if down else range(start, size - left + 1):
             total = count
             if scored:
@@ -197,21 +253,47 @@ def _walk(
                     if bits & m == m:
                         total += step
             if left > 1:
-                pick(bits ^ 1 << v, total, v + 1, left - 1)
-            elif total >= best:
+                # cut the subtree of v when its ceiling falls short
+                if total + lift < bar or universe < bar:
+                    scanned += comb(size - v - 1, left - 1)
+                else:
+                    pick(bits ^ 1 << v, total, v + 1, left - 1, universe)
+                if shrink:
+                    # v leaves the universe with the subcubes through it
+                    # inside it: with nothing picked, those lowest at v
+                    if bits:
+                        inside = bits | ones >> v + 1 << v + 1
+                        for m in around[v] or ring(v):
+                            if inside & m == m:
+                                universe -= 1
+                    else:
+                        universe -= comb(n - v.bit_count(), q)
+                    if universe < bar:
+                        # and so do the later siblings' subtrees
+                        scanned += comb(size - v - 1, left)
+                        return
+            elif total >= bar:
                 if total > best:
                     best = total
                     examples = []
                 if len(examples) < cap:
                     examples.append(VertexSet.from_bits(n, bits ^ 1 << v))
+                bar = best + (len(examples) >= cap)
 
-    pick(root, count, 0, picks)
+    pick(root, count, 0, picks, whole)
     return best, examples, scanned
 
 
-# Bytes of mask lists one _MaskTable keeps; past it, a vertex's masks are
-# built again at each use. The removed pairs of the 12-cube at q = 2 reach
-# it: 66 masks of up to 4096 bits per vertex, ~91 MiB in all.
+# Picks left from which an upward level keeps its universe's count. At
+# fewer the upkeep costs more than its cuts save: tracking from 2 picks
+# left made (3, 3, 1) ~40% and (5, 3, 1) ~20% slower than tracking from
+# 3, and the whole sweep of n <= 4 and the n = 5 slices no faster.
+_TRACKED = 3
+
+# Bytes of mask lists one scan keeps, in one table or two beside each
+# other; past it, a vertex's masks are built again at each use. The
+# removed pairs of the 12-cube at q = 2 reach it: 66 masks of up to 4096
+# bits per vertex, ~91 MiB in all.
 _TABLE_BYTES = 1 << 26
 
 
@@ -224,24 +306,27 @@ class _MaskTable:
     subcube through v. Such a subcube lies inside S + {v} exactly when its
     mask m has ``bits & m == m`` for the indicator ``bits`` of S.
     ``kept[v]`` is v's list while the lists stay within _TABLE_BYTES, else
-    None. At q = 0 a vertex's one subcube is itself, whose mask is 0, so
-    every entry is the same list [0] from the start.
+    None; a table made ``beside`` another shares that one's bound. At
+    q = 0 a vertex's one subcube is itself, whose mask is 0, so every
+    entry is the same list [0] from the start.
     """
 
-    def __init__(self, n: int, q: int, through: bool):
+    def __init__(self, n: int, q: int, through: bool, beside: _MaskTable | None = None):
         self.n = n
         self.q = q
         self.through = through
         self.kept: list[list[int] | None] = [[0] if q == 0 else None] * (1 << n)
-        self.room = _TABLE_BYTES - getsizeof(self.kept)
+        # the bytes left under the bound, in a list that tables beside share
+        self.room = beside.room if beside else [_TABLE_BYTES]
+        self.room[0] -= getsizeof(self.kept)
 
     def masks(self, v: int) -> list[int]:
         found = self.kept[v]
         if found is None:
             found = self.build(v)
             size = getsizeof(found) + sum(map(getsizeof, found))
-            if size <= self.room:
-                self.room -= size
+            if size <= self.room[0]:
+                self.room[0] -= size
                 self.kept[v] = found
         return found
 

@@ -242,8 +242,8 @@ MUTANTS = (
     Mutant(
         "downward walk: a second removal scored as the first",
         "oracle.py",
-        "top = picks - 1",
-        "top = picks - 2",
+        "top, reach = picks - 1,",
+        "top, reach = picks - 2,",
         "tests/test_oracle.py",
         "walks_agree or two_removed",
         (
@@ -277,6 +277,46 @@ MUTANTS = (
             "tests/test_oracle.py::TestMaskTable::test_masks_match_generated_subcubes[5]",
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
         ),
+    ),
+    # The first two cuts drop what a full scan keeps or counts. A looser
+    # ceiling changes no result, only the time a scan takes, so only a
+    # deadline sees the third: with a universe that barely shrinks, the
+    # deep-cut test's 601 M sets run past its 5 s.
+    Mutant(
+        "walk: ties cut before the argmax list is full",
+        "oracle.py",
+        "bar = best + (len(examples) >= cap)",
+        "bar = best + 1",
+        "tests/test_oracle.py",
+        "independent_reference or lexicographically_capped or singletons",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[3-4]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
+            "tests/test_oracle.py::TestBruteForce::test_argmax_is_lexicographically_capped",
+            "tests/test_oracle.py::TestBruteForce::test_singletons_of_the_20_cube_at_q_zero",
+        ),
+    ),
+    Mutant(
+        "walk: a cut subtree's sets not added to scanned",
+        "oracle.py",
+        "scanned += comb(size - v - 1, left - 1)",
+        "pass",
+        "tests/test_oracle.py",
+        "cut_deep or scan_bound",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_half_of_the_5_cube_is_cut_deep[0]",
+            "tests/test_oracle.py::TestBruteForce::test_half_of_the_5_cube_is_cut_deep[5]",
+            "tests/test_oracle.py::TestBruteForce::test_scan_bound_holds_whatever_the_budget",
+        ),
+    ),
+    Mutant(
+        "upward walk: universe ceiling lowered by subcubes inside the picked set, not the universe",
+        "oracle.py",
+        "if inside & m == m:",
+        "if bits & m == m:",
+        "tests/test_oracle.py",
+        "cut_deep",
+        ("tests/test_oracle.py::TestBruteForce::test_half_of_the_5_cube_is_cut_deep[4]",),
     ),
     Mutant(
         "package __all__ skips weights",

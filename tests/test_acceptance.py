@@ -60,16 +60,18 @@ def hypercubic_by_k():
 
 def test_criterion_01_oracle_equivalence():
     failures = []
-    cases = [(n, k) for n in range(1, 5) for k in range(1, 2**n + 1)]
-    cases += [(5, k) for k in range(1, 33) if k <= 6 or k >= 27]
-    for n, k in cases:
-        for q in range(n + 1):
-            res = brute_force_mq(n, k, q, argmax_cap=1)
-            if not res.matches_formula:
-                failures.append((n, k, q, res.max_count, prefix_hq(k, q)))
+    cases = [(n, k, q) for n in range(1, 5) for k in range(1, 2**n + 1) for q in range(n + 1)]
+    cases += [(5, k, q) for k in range(1, 33) if k <= 6 or k >= 25 for q in range(6)]
+    # the middle sizes at the q whose ceilings cut deepest
+    cases += [(5, k, q) for k in range(7, 25) for q in (0, 4, 5)]
+    for n, k, q in cases:
+        res = brute_force_mq(n, k, q, argmax_cap=1, budget=10**9)
+        if not res.matches_formula:
+            failures.append((n, k, q, res.max_count, prefix_hq(k, q)))
     report(
         1,
-        "exhaustive maxima equal prefix sums for n <= 4 and n = 5 at k <= 6, k >= 27",
+        "exhaustive maxima equal prefix sums for n <= 4, n = 5 at k <= 6 and k >= 25,"
+        " and n = 5 at every k for q in {0, 4, 5}",
         failures,
     )
 

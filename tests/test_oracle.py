@@ -1,6 +1,8 @@
 """Tests for the exhaustive k-subset oracle."""
 
+import signal
 import time
+from contextlib import contextmanager
 from itertools import combinations
 from math import comb
 from sys import getsizeof
@@ -20,6 +22,30 @@ from cubeseg.oracle import (
 from cubeseg.weights import prefix_hq
 
 import oracles
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the test once the block has run for ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        expired = True
+    else:
+        expired = False
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # outside the handler: the interrupted frame's traceback can lack a
+    # line number, which pytest's report cannot format
+    if expired:
+        pytest.fail(f"not done in {seconds} s", pytrace=False)
 
 
 class TestBruteForce:
@@ -105,6 +131,20 @@ class TestBruteForce:
                 combo for combo, count in counts.items() if count == best
             ]
 
+    @pytest.mark.parametrize("q", [0, 4, 5])
+    def test_half_of_the_5_cube_is_cut_deep(self, q):
+        # 601,080,390 sets, ~5 minutes if each were scored, decided in a
+        # fraction of a second: the first leaf is the initial segment,
+        # whose count is the maximum, and nearly every later subtree's
+        # ceiling is at most that. At q = 0 the count ceiling is exact, at
+        # q = 5 nothing scores, and at q = 4 the cut rests on the
+        # universe's count, which falls to the maximum, 1.
+        with _deadline(5):
+            res = brute_force_mq(5, 16, q, argmax_cap=1, budget=10**9)
+        assert res.total_subsets_scanned == comb(32, 16) == 601080390
+        assert res.max_count == prefix_hq(16, q)
+        assert res.argmax_examples == (initial_segment(16, 5),)
+
     def test_too_small_for_any_subcube(self):
         res = brute_force_mq(3, 3, 2)
         assert res.max_count == 0
@@ -166,13 +206,15 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "n,k",
         [(n, k) for n in range(1, 4) for k in range(1, 2**n + 1)]
-        + [(4, k) for k in range(11, 17)]
+        + [(4, k) for k in (*range(4, 9), *range(11, 17))]
         + [(5, 30), (5, 31)],
     )
     def test_capped_argmax_is_prefix_of_uncapped(self, n, k):
         # A cap keeps the first entries of the full list, in scan order.
         # n <= 3 covers both directions; n = 4 at k >= 11 and n = 5 at
-        # k >= 30 walk downward, where ties often outnumber the cap.
+        # k >= 30 walk downward, where ties often outnumber the cap. Ties
+        # are cut only once the list is full, which n = 4 at k = 4-8
+        # checks upward, where the universe's count cuts them too.
         for q in range(n + 1):
             full = brute_force_mq(n, k, q, argmax_cap=comb(2**n, k)).argmax_examples
             for cap in range(4):
@@ -269,7 +311,25 @@ class TestMaskTable:
         used = getsizeof(table.kept) + sum(
             getsizeof(masks) + sum(map(getsizeof, masks)) for masks in kept
         )
-        assert used == _TABLE_BYTES - table.room <= _TABLE_BYTES
+        assert used == _TABLE_BYTES - table.room[0] <= _TABLE_BYTES
+
+    def test_tables_beside_each_other_share_the_bound(self, monkeypatch):
+        # The upward walk keeps its through-v masks beside its scoring
+        # masks, and the two together stay within one bound.
+        monkeypatch.setattr("cubeseg.oracle._TABLE_BYTES", 4096)
+        top = _MaskTable(6, 2, through=False)
+        through = _MaskTable(6, 2, through=True, beside=top)
+        assert through.room is top.room
+        for v in range(2**6):
+            assert top.masks(v) == top.build(v)
+            assert through.masks(v) == through.build(v)
+        used = 0
+        for table in (top, through):
+            kept = [masks for masks in table.kept if masks is not None]
+            used += getsizeof(table.kept)
+            used += sum(getsizeof(masks) + sum(map(getsizeof, masks)) for masks in kept)
+        assert used == 4096 - top.room[0] <= 4096
+        assert None in through.kept
 
 
 class TestIsOptimal:
