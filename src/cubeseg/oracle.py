@@ -226,8 +226,8 @@ def _walk(
     # exact already: at q = 0, or when no pick is scored
     track = not down and q > 0 and top > 0 and picks >= _TRACKED
     if track:
-        through = _MaskTable(n, q, through=True, beside=table)
-        around, ring = through.kept, through.masks
+        passing = _MaskTable(n, q, through=True, beside=table)
+        kept_passing, masks_passing = passing.kept, passing.masks
     best = -1
     # the least count a set needs to change the result: best while the
     # argmax list has room, best + 1 once it holds cap sets
@@ -263,7 +263,7 @@ def _walk(
                     # inside it: with nothing picked, those lowest at v
                     if bits:
                         inside = bits | ones >> v + 1 << v + 1
-                        for m in around[v] or ring(v):
+                        for m in kept_passing[v] or masks_passing(v):
                             if inside & m == m:
                                 universe -= 1
                     else:
