@@ -96,7 +96,7 @@ def find_special_bijection(I: Interval, J: Interval) -> Optional[BijectionWitnes
 
     Raises ``ValueError`` when the intervals hold more than 2^_MAX_DIM
     integers each, the vertex count of the largest cube, before anything
-    is sorted.
+    is sorted, and when an endpoint is 2^64 or more, before any histogram.
     """
     if I.size != J.size:
         raise ValueError(f"interval sizes differ: {I.size} vs {J.size}")
@@ -104,6 +104,11 @@ def find_special_bijection(I: Interval, J: Interval) -> Optional[BijectionWitnes
         raise ValueError(f"intervals of {I.size} integers, past the bound of {1 << _MAX_DIM}")
     if J.lo <= I.lo:
         raise ValueError(f"target must start above source: j0={J.lo} <= i0={I.lo}")
+    # J starts above I and the sizes are equal, so J.hi is the largest
+    # endpoint. The weight histograms of b-bit endpoints take O(b^2)
+    # binomials of b-bit numbers: 2^2000 - 1 took over a minute.
+    if J.hi >= 1 << 64:
+        raise ValueError(f"target ends at a {J.hi.bit_length()}-bit integer, past the bound of 2^64")
     strict = I.hi < J.lo
     if not _hall_holds(I, J, 1 if strict else 0):
         return None

@@ -28,12 +28,14 @@ Two interchangeable counting kernels are provided:
   half of the set is empty or full, through the three-term identity
   m_q(S) = m_q(L) + m_q(H) + m_{q-1}(L & H) with a closed form for the
   full half; an initial segment peels to the end and folds nothing.
-  What is left is counted by walking the free-coordinate sets depth
-  first, folding the indicator once per added coordinate and pruning a
-  branch as soon as its fold is empty; a bit surviving q folds certifies
-  a whole subcube. Each fold keeps the positions whose added coordinate
-  is 0, through that coordinate's zero-side mask; the masks are cached
-  per (n, r), and ``split`` reads the same cache.
+  What is left is counted by one depth-first walk over the
+  free-coordinate sets, folding the indicator once per added coordinate
+  and pruning a branch as soon as its fold is empty; a bit surviving j
+  folds certifies a whole j-subcube, and each node adds its popcount
+  times the peel's coefficient for its depth. Each fold keeps the
+  positions whose added coordinate is 0, through that coordinate's
+  zero-side mask; the masks are cached per (n, r), and ``split`` reads
+  the same cache.
 """
 
 from __future__ import annotations
@@ -228,46 +230,37 @@ def _check_q(q: int, dim: int) -> None:
         raise ValueError(f"q must be in [0, {dim}], got {q}")
 
 
-def _free_coordinate_tables(n: int, q: int):
-    """Per free-coordinate-set data: (fixed mask, cube mask).
-
-    Free sets are produced in lexicographic order of their coordinate
-    indices so that enumeration order is deterministic. The cube mask is
-    the indicator of the subcube that frees these coordinates and fixes
-    the others at 0, built by doubling: each free coordinate t ORs in a
-    copy shifted up by 2^t.
-    """
-    full = (1 << n) - 1
-    for free in combinations(range(n), q):
-        free_mask = 0
-        cube = 1
-        for t in free:
-            free_mask |= 1 << t
-            cube |= cube << (1 << t)
-        yield full ^ free_mask, cube
-
-
 def count_subcubes_naive(S: VertexSet, q: int) -> int:
     """Count q-dimensional subcubes contained in S by direct enumeration.
 
     Every one of the C(n,q) * 2^(n-q) candidate subcubes is generated and
     tested with one mask: the candidate at lowest vertex ``base`` is
     inside S exactly when the indicator shifted down by ``base`` covers
-    the cube mask of its free coordinates.
+    the cube mask of its free coordinates. Free-coordinate sets are taken
+    in lexicographic order of their indices, so the enumeration order is
+    deterministic.
     """
     _check_q(q, S.dim)
     bits = S._bits
     count = 0
-    for qmask, cube in _free_coordinate_tables(S.dim, q):
+    for free in combinations(range(S.dim), q):
+        # The fixed-coordinate mask, and the cube mask: the indicator of the
+        # subcube that frees these coordinates and fixes the others at 0,
+        # built by doubling (each free coordinate t ORs in a copy shifted up
+        # by 2^t).
+        fixed, cube = (1 << S.dim) - 1, 1
+        for t in free:
+            fixed ^= 1 << t
+            cube |= cube << (1 << t)
         # Bases are the submasks of the fixed-coordinate mask, visited in
         # increasing order (assignments in increasing integer order).
         base = 0
         while True:
             if (bits >> base) & cube == cube:
                 count += 1
-            if base == qmask:
+            if base == fixed:
                 break
-            base = (base - qmask) & qmask
+            base = (base - fixed) & fixed
     return count
 
 
@@ -289,18 +282,15 @@ def count_subcubes_bitparallel(S: VertexSet, q: int) -> int:
     half empty at every step, so it costs O(n) big-int steps on halving
     indicators and O(n·q) coefficient updates, with no fold at all.
 
-    Then, for each j with c_j nonzero, a depth-first walk adds j free
-    coordinates of X in increasing order. Adding t folds the parent's
-    indicator A into A & (A >> 2^t), kept at the positions whose bit t is
-    0; a bit set after j folds marks the lowest vertex of a j-subcube
-    inside X. An empty fold ends its branch. A depth-j walk over m
-    coordinates visits at most Σ_{d<=j} C(m, d) free sets. After s
-    full-half steps on the way from n down to m (s <= n - m) the nonzero
-    c_j have q - s <= j <= q, and by Vandermonde's identity
-    Σ_{d<=q} C(m+s, d) = Σ_{i<=s} C(s, i)·Σ_{d<=q-i} C(m, d), which is at
-    least the sum of those walks' bounds: together they visit no more free
-    sets than the one depth-q walk over n coordinates may, and each fold
-    is on a 2^m-bit indicator instead of 2^n. A set whose top halves are
+    Then one depth-first walk adds free coordinates of X in increasing
+    order, down to depth min(q, m). Adding t folds the parent's indicator
+    A into A & (A >> 2^t), kept at the positions whose bit t is 0; a bit
+    set after d folds marks the lowest vertex of a d-subcube inside X, so
+    a node at depth d adds c_d times its popcount. A branch ends when its
+    fold is empty, or when too few coordinates are left to reach the
+    first nonzero c_j. The walk visits at most Σ_{d<=q} C(m, d) free
+    sets, each a fold of a 2^m-bit indicator, and m <= n: no more than
+    one depth-q walk over the unpeeled n-cube. A set whose top halves are
     both mixed pays three big-int operations (a mask, an AND and a shift)
     for the peel.
     Agrees exactly with ``count_subcubes_naive``.
@@ -328,18 +318,23 @@ def count_subcubes_bitparallel(S: VertexSet, q: int) -> int:
     # The zero-side masks of the n-cube serve the m-cube: X lies in the low
     # 2^m bits, where the masks agree.
     zero = [_coord_zero_mask(n, t) for t in range(m)]
+    # The nonzero coefficients are C(s, q - j) for q - s <= j <= q after s
+    # full-half steps, so the zeros come first and ``first`` is the depth
+    # of the first node that counts.
+    top, first = min(q, m), coeffs.count(0)
 
-    def walk(folded: int, start: int, left: int) -> int:
-        if not left:
-            return folded.bit_count()
-        count = 0
-        for t in range(start, m - left + 1):
-            child = folded & (folded >> (1 << t)) & zero[t]
-            if child:
-                count += walk(child, t + 1, left - 1)
+    def walk(folded: int, start: int, depth: int) -> int:
+        count = coeffs[depth] * folded.bit_count() if depth >= first else 0
+        if depth < top:
+            # above depth ``first``, stop at the last t that still leaves
+            # enough coordinates to reach it
+            for t in range(start, m if depth >= first else m - first + depth + 1):
+                child = folded & (folded >> (1 << t)) & zero[t]
+                if child:
+                    count += walk(child, t + 1, depth + 1)
         return count
 
-    return total + sum(c * walk(bits, 0, j) for j, c in enumerate(coeffs[: m + 1]) if c)
+    return total + walk(bits, 0, 0)
 
 
 def three_term_report(S: VertexSet, q: int, r: int) -> DecompositionReport:

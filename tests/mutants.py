@@ -67,6 +67,20 @@ MUTANTS = (
             "tests/test_cube.py::TestCountingKernels::test_peeled_halves_match_naive[10]",
         ),
     ),
+    # c_{q+1} is 0, so the deepest nodes count nothing
+    Mutant(
+        "walk: a node at depth d weighted by c_{d+1}",
+        "cube.py",
+        "coeffs[depth] * folded.bit_count()",
+        "[*coeffs, 0][depth + 1] * folded.bit_count()",
+        "tests/test_cube.py",
+        "peeled_halves",
+        (
+            "tests/test_cube.py::TestCountingKernels::test_peeled_halves_match_naive[3]",
+            "tests/test_cube.py::TestCountingKernels::test_peeled_halves_match_naive[6]",
+            "tests/test_cube.py::TestCountingKernels::test_peeled_halves_match_naive[10]",
+        ),
+    ),
     Mutant(
         "prefix_hq: set bits above b not counted",
         "weights.py",

@@ -138,6 +138,18 @@ class TestFindSpecialBijection:
             tracemalloc.stop()
         assert peak < 1 << 16
 
+    # Endpoints below 2^64 are accepted. The Hall check's weight histograms
+    # take O(b^2) binomials of b-bit endpoints, so larger ones are refused
+    # before any histogram (2^2000 - 1 took over a minute).
+    @pytest.mark.parametrize("end", [2**64, 2**64 + 1, 2**200], ids=["2^64", "2^64+1", "2^200"])
+    def test_refused_past_the_endpoint_bound(self, end):
+        with pytest.raises(ValueError, match=r"past the bound of 2\^64"):
+            find_special_bijection(Interval(0, 0), Interval(end, end))
+        with pytest.raises(ValueError, match=r"past the bound of 2\^64"):
+            find_special_bijection(Interval(end - 3, end - 2), Interval(end - 1, end))
+        w = find_special_bijection(Interval(0, 0), Interval(2**64 - 1, 2**64 - 1))
+        assert w is not None and verify_special(w)
+
     def test_existence_matches_sort_and_pair(self):
         rng = random.Random(2026)
         for _ in range(1000):

@@ -299,6 +299,15 @@ class TestBijectionCommand:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # Endpoints of 2^64 or more are refused before the Hall check's weight
+    # histograms, whose cost grows with the square of their bit length
+    def test_endpoints_past_the_bound(self, capsys):
+        end = str(2**64)
+        rc, out, err = invoke(capsys, ["bijection", "0", "0", end, end])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "past the bound of 2^64" in err
+
 
 class TestHypercubicCommand:
     def test_plain(self, capsys):

@@ -240,7 +240,7 @@ class TestCountingKernels:
         # Sets whose top halves are empty or full for one or more splits,
         # so the bit-parallel kernel peels before (or instead of) folding.
         rng = random.Random(100 + n)
-        size, half = 1 << n, 1 << (n - 1)
+        size, half, quarter = 1 << n, 1 << (n - 1), (1 << n) >> 2
         for _ in range(3):
             k = rng.randint(1, size)
             free = [r for r in range(n) if rng.random() < 0.5]
@@ -254,6 +254,9 @@ class TestCountingKernels:
                 "final segment": (1 << size) - (1 << (k - 1)),
                 "subcube": VertexSet(n, subcube).bits,
                 "upper half only": rng.getrandbits(half) << half,
+                # two full-half steps, so three coefficients reach the walk
+                "full top three quarters": ((1 << (size - quarter)) - 1) << quarter
+                | rng.getrandbits(quarter),
             }
             for name, bits in cases.items():
                 S = VertexSet.from_bits(n, bits)
