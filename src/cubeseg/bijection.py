@@ -28,6 +28,12 @@ __all__ = [
     "check_shifted_hq_inequality",
 ]
 
+# Endpoints are refused from 2^_ENDPOINT_BITS on. A weight histogram of a
+# b-bit endpoint takes O(b^2) binomials of b-bit numbers: 2^2000 - 1 took
+# over a minute in the Hall check, and 2^1024 - 1 took 6.9 s in the
+# g-weighted sums.
+_ENDPOINT_BITS = 64
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -79,6 +85,13 @@ def _hall_holds(I: Interval, J: Interval, need: int) -> bool:
     return all(spare >= 0 for spare in accumulate(a - b for a, b in pairs))
 
 
+def _check_endpoint(name: str, hi: int) -> None:
+    if hi.bit_length() > _ENDPOINT_BITS:
+        raise ValueError(
+            f"{name} ends at a {hi.bit_length()}-bit integer, past the bound of 2^{_ENDPOINT_BITS}"
+        )
+
+
 def find_special_bijection(I: Interval, J: Interval) -> Optional[BijectionWitness]:
     """Search for a special bijection from I onto J.
 
@@ -104,11 +117,8 @@ def find_special_bijection(I: Interval, J: Interval) -> Optional[BijectionWitnes
         raise ValueError(f"intervals of {I.size} integers, past the bound of {1 << _MAX_DIM}")
     if J.lo <= I.lo:
         raise ValueError(f"target must start above source: j0={J.lo} <= i0={I.lo}")
-    # J starts above I and the sizes are equal, so J.hi is the largest
-    # endpoint. The weight histograms of b-bit endpoints take O(b^2)
-    # binomials of b-bit numbers: 2^2000 - 1 took over a minute.
-    if J.hi >= 1 << 64:
-        raise ValueError(f"target ends at a {J.hi.bit_length()}-bit integer, past the bound of 2^64")
+    # J starts above I and the sizes are equal, so J.hi is the largest endpoint
+    _check_endpoint("target", J.hi)
     strict = I.hi < J.lo
     if not _hall_holds(I, J, 1 if strict else 0):
         return None
@@ -164,7 +174,11 @@ def check_g_inequality(I: Interval, J: Interval, g: Sequence) -> GInequalityChec
     tables give exact sums; a float table is summed per weight rather
     than per integer, so ``lhs`` and ``rhs`` may differ in the last place
     from a per-element sum, and so may ``strict``.
+
+    Raises ``ValueError`` when an endpoint is 2^64 or more, before any
+    histogram.
     """
+    _check_endpoint("an interval", max(I.hi, J.hi))
     if any(a > b for a, b in zip(g, g[1:])):
         raise ValueError("g table must be non-decreasing")
     src, dst = interval_histogram(I.lo, I.hi), interval_histogram(J.lo, J.hi)

@@ -80,8 +80,8 @@ __all__ = [
 
 # build_table refuses a table of more than _MAX_SPLITS splits or
 # _MAX_CELLS values. At the split bound, (1, 16384) builds in ~0.6 s;
-# (64, 2048), whose rows q >= 12 are 0 and tie at every split, builds two
-# such rows and copies the rest, in ~0.3 s. The value bound stops tables
+# (64, 2048), whose rows q >= 12 are 0 and tie at every split, builds one
+# such row and copies the rest, in ~0.3 s. The value bound stops tables
 # of few splits per value and many rows, which the split bound lets
 # through: (2^18 - 1, 4) builds in ~0.9 s, and (10^8, 1), which scores no
 # split, would need ~8 GB.
@@ -133,9 +133,11 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
     are the splits k' with G_{q-1}(k') + G_q(k-k') = G_q(k), read from
     the guard bits of one packed comparison per row and k. All rows share
     one field width, fixed by G_1(kmax), and one pass over k; a row whose
-    guard bits equal the previous row's takes its tuple. Row q depends on
-    row q - 1 alone, so once two rows are equal every later row equals
-    them too, and is copied with its maximizer tuples instead of built.
+    guard bits equal the previous row's takes its tuple. No i < kmax has
+    weight b = kmax.bit_length() or more, so every row q >= b is 0 up to
+    kmax, and in it every split ties: a split k' <= k/2 < 2^(b-1) scores
+    F_{q-1}(k') = 0, as no i < k' has weight b - 1. Rows past row b are
+    copied from it, with its maximizer tuples, instead of built.
 
     Raises ``ValueError`` before anything is allocated when the table would
     score more than ``_MAX_SPLITS`` splits or hold more than
@@ -152,12 +154,8 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
             f" {cells} values, past the bounds of {_MAX_SPLITS} and {_MAX_CELLS}"
         )
     weights = [i.bit_count() for i in range(kmax)]
-    values: list[list[int]] = []
-    for q in range(qmax + 1):
-        if q >= 2 and values[q - 1] == values[q - 2]:
-            break  # every later row repeats row q - 1
-        values.append([0, *accumulate(comb(w, q) for w in weights)])
-    last = len(values) - 1
+    last = min(qmax, kmax.bit_length())
+    values = [[0, *accumulate(comb(w, q) for w in weights)] for q in range(last + 1)]
     # tails[q][x] = G_q(x), the sum over i < x of max(0, h(i) - q + 1)
     tails = [[0, *accumulate(max(0, w - q + 1) for w in weights)] for q in range(last + 1)]
     maximizer_sets: dict[tuple[int, int], tuple[int, ...]] = {}

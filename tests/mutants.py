@@ -164,16 +164,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "build_table: every row copied from the row below it",
+        "build_table: rows past the weight bound start one row early",
         "recursion.py",
-        "values[q - 1] == values[q - 2]",
-        "values[q - 1] == values[q - 1]",
+        "last = min(qmax, kmax.bit_length())",
+        "last = min(qmax, kmax.bit_length() - 1)",
         "tests/test_recursion.py",
-        "full_scan",
+        "full_scan or copied_all_tie_rows",
         (
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
+            "tests/test_recursion.py::TestBuildTable::test_copied_all_tie_rows",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[16-40]",
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[30-100]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[12-300]",
         ),
     ),
     Mutant(

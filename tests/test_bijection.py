@@ -315,6 +315,19 @@ class TestGInequality:
             assert (res.lhs, res.rhs) == (lhs, rhs), (I, J, g)
             assert (res.holds, res.strict) == (lhs <= rhs, lhs < rhs), (I, J, g)
 
+    # Endpoints below 2^64 are accepted. The weight histograms take O(b^2)
+    # binomials of b-bit endpoints, so larger ones, on either side, are
+    # refused before either histogram (2^1024 - 1 took 6.9 s).
+    @pytest.mark.parametrize("end", [2**64, 2**64 + 1, 2**200], ids=["2^64", "2^64+1", "2^200"])
+    def test_refused_past_the_endpoint_bound(self, end):
+        g = list(range(201))
+        with pytest.raises(ValueError, match=r"past the bound of 2\^64"):
+            check_g_inequality(Interval(0, 0), Interval(end, end), g)
+        with pytest.raises(ValueError, match=r"past the bound of 2\^64"):
+            check_g_inequality(Interval(end - 1, end), Interval(0, 1), g)
+        res = check_g_inequality(Interval(0, 0), Interval(2**64 - 1, 2**64 - 1), g)
+        assert (res.lhs, res.rhs, res.holds, res.strict) == (0, 64, True, True)
+
     def test_large_zero_based_source(self):
         # 2^20 integers of the 20-cube: half of the 20 coordinates are 1 on average
         s = 1 << 20

@@ -44,6 +44,10 @@ class TestFq:
         rc, out, err = invoke(capsys, ["fq", "--q", "1", "--kmax", "0"])
         assert rc == 1 and out == "" and err
 
+    def test_negative_q(self, capsys):
+        rc, out, err = invoke(capsys, ["fq", "--q", "-1", "--kmax", "5"])
+        assert (rc, out, err) == (1, "", "error: --q must be >= 0, got -1\n")
+
     # A table past the size bound is refused before it is built, not by
     # a MemoryError traceback
     @pytest.mark.parametrize(

@@ -43,12 +43,20 @@ class TestVertexSet:
         assert 5 in S and 0 in S and 2 in S
         assert 1 not in S and 7 not in S
         assert tuple(S) == (0, 2, 5)
+        # only ints in [0, 2^n) are members: not False, which equals 0
+        assert False not in S and "0" not in S and 0.0 not in S
+        assert -1 not in S and 8 not in S
 
     def test_duplicates_collapse(self):
         assert VertexSet(3, [1, 1, 1]) == VertexSet(3, [1])
+        assert hash(VertexSet(3, [1, 1, 1])) == hash(VertexSet(3, [1]))
+        assert len({VertexSet(3, [1, 1, 1]), VertexSet(3, [1]), VertexSet(3, [2])}) == 2
 
     def test_equality_includes_dim(self):
         assert VertexSet(2, [1]) != VertexSet(3, [1])
+        assert len({VertexSet(2, [1]), VertexSet(3, [1])}) == 2
+        assert VertexSet(2, [1]).__eq__(2) is NotImplemented
+        assert VertexSet(2, [1]) != 2
 
     def test_out_of_range_member(self):
         with pytest.raises(ValueError):
@@ -61,6 +69,9 @@ class TestVertexSet:
             VertexSet(0, [])
         with pytest.raises(ValueError):
             VertexSet(21, [])
+        for dim in (2.0, True, "2"):
+            with pytest.raises(TypeError, match="dim must be an int"):
+                VertexSet(dim, [])
 
     @pytest.mark.parametrize(
         "build",
@@ -82,6 +93,10 @@ class TestVertexSet:
     def test_from_bits_round_trip(self):
         S = VertexSet(4, [0, 7, 9])
         assert VertexSet.from_bits(4, S.bits) == S
+        assert len(VertexSet.from_bits(2, (1 << 4) - 1)) == 4
+        for bits in (1 << 4, -1):
+            with pytest.raises(ValueError, match=r"does not fit in 2\^2 positions"):
+                VertexSet.from_bits(2, bits)
 
     def test_shuffled_members_match_summed_indicator(self):
         n = 16
@@ -591,6 +606,14 @@ class TestTextFormat:
             if v % 7 == 6:
                 lines.append("   ")
         assert parse_vertex_set(lines, 12) == VertexSet(12, range(3 * _CHUNK))
+        # a header-only file, and a whole chunk of comments between vertices
+        assert parse_vertex_set(["# header", "", "  # note"], 12) == VertexSet(12, [])
+        between = [*map(str, range(_CHUNK)), *["# comment"] * _CHUNK, "4000"]
+        assert parse_vertex_set(between, 12) == VertexSet(12, [*range(_CHUNK), 4000])
+        with pytest.raises(
+            VertexFormatError, match=rf"^line {2 * _CHUNK + 2}: duplicate vertex 0$"
+        ):
+            parse_vertex_set([*between, "0"], 12)
         bad = len(lines) - 5
         lines[bad] = "# not a vertex"
         lines.insert(bad, "2.5")

@@ -71,8 +71,9 @@ class TestBuildTable:
     # holds the small k of every row; (3, 1100) holds k = 2^m - 1, 2^m,
     # 2^m + 1 for m = 9 and m = 10; every split of the rows q >= 9 of
     # (12, 300) ties, and (3, 1) .. (3, 3) score at most one split per k.
-    # Rows 9 and 10 of (12, 300), 6 and 7 of (16, 40) and 7 and 8 of
-    # (30, 100) are equal, and every row after them is copied.
+    # Row b = kmax.bit_length() is the first that is 0 and ties at every
+    # split: row 9 of (12, 300), 6 of (16, 40) and 7 of (30, 100). It is
+    # built, and every row after it is copied.
     @pytest.mark.parametrize(
         "qmax,kmax",
         [
