@@ -128,6 +128,8 @@ class VertexSet:
     def from_bits(cls, dim: int, bits: int) -> "VertexSet":
         """Build directly from an indicator bitstring."""
         _check_dim(dim)
+        if not isinstance(bits, int) or isinstance(bits, bool):
+            raise TypeError(f"indicator must be an int, got {type(bits).__name__}")
         if bits < 0 or bits.bit_length() > (1 << dim):
             raise ValueError(f"indicator does not fit in 2^{dim} positions")
         self = cls.__new__(cls)

@@ -63,11 +63,31 @@ those of the full scan.
   every mask through v, within the same 64 MiB, finds them. Once the
   universe's ceiling falls short, every later sibling is cut with it.
 
-The ceilings hold for every set, so no result depends on the theorem
-under test. The theorem only makes the cut deep: the first set in scan
-order is the initial segment, so the best count is final after one leaf,
-and the C(32, 16) sets of (5, 16, 4) are decided in a fraction of a
-second.
+Once the argmax list is full, the walk also cuts by symmetry. m_q is
+invariant under the 2^n * n! automorphisms of the cube, the XOR
+translations and the coordinate permutations. The lexicographically
+least set S* of an orbit holds 0 (translate by its minimum), and its
+second member is some 2^j - 1 (permute that member's one-bits to the
+lowest coordinates). So a first or second pick that starts no such set,
+and has picks still to come, is cut with its subtree, whose sets count as
+scanned (``_leads``; it is asked only where no ceiling cuts first):
+- upward, a first pick other than 0, and a second pick v with
+  v & (v + 1) != 0;
+- downward, where the picks are the removed set's smallest members, a
+  first pick of 0, which leaves 0 out of the set, and after a first pick
+  of 1 every second pick but 2, which leaves 2 as the set's second member.
+This changes no result, at any cap. A set S in a cut subtree is not S*,
+so S* < S lies outside the subtree and was decided before it: either it
+was scored, so best >= m_q(S*) = m_q(S), or a ceiling below a bar of at
+most best + 1 cut it. The list was full and S comes after every listed
+set, so S could neither raise the maximum nor enter the list. A last
+pick is scored all the same: cutting it would save one set's masks.
+
+The ceilings and the symmetry cut hold for every set, so no result
+depends on the theorem under test. The theorem only makes the cut deep:
+the first set in scan order is the initial segment, so the best count is
+final after one leaf, and the C(32, 16) sets of (5, 16, 4) are decided
+in a fraction of a second.
 """
 
 from __future__ import annotations
@@ -166,6 +186,15 @@ def brute_force_mq(
     maximum nor enter the list, and the result is the full scan's. Cut
     sets count as scanned: ``total_subsets_scanned`` is C(2^n, k).
 
+    Once ``argmax_cap`` sets are listed, a first or second pick that is
+    not the last and starts no set least in its orbit under the cube's
+    translations and coordinate permutations is cut with its subtree:
+    upward a first pick other than 0 or a second pick not of the form
+    2^j - 1, downward a first removal of 0, or a first removal of 1 and
+    a second other than 2. Every such set has an image earlier in scan
+    order with the same count, decided already, so it too could not
+    change the result.
+
     Raises BudgetExceeded before any work if C(2^n, k) exceeds the budget
     or 2^64, whatever the budget, without computing a binomial past
     min(k, 2^n - k) = 64; within 2^64 subsets the recursion is at most 31
@@ -241,6 +270,10 @@ def _walk(
         # ``universe`` is at least the m_q of every set below.
         nonlocal best, bar, examples, scanned
         scored = left <= top
+        # a first or second pick with picks below it, and the vertex
+        # picked before it, or -1
+        lead = left >= picks - 1 and left > 1
+        prior = (bits ^ root).bit_length() - 1 if lead else -1
         if left == 1:
             scanned += size - start
         else:
@@ -253,8 +286,13 @@ def _walk(
                     if bits & m == m:
                         total += step
             if left > 1:
-                # cut the subtree of v when its ceiling falls short
-                if total + lift < bar or universe < bar:
+                # cut the subtree of v when its ceiling falls short, or,
+                # past a full list, when v starts no orbit's least set
+                if (
+                    total + lift < bar
+                    or universe < bar
+                    or lead and len(examples) >= cap and not _leads(v, prior, down)
+                ):
                     scanned += comb(size - v - 1, left - 1)
                 else:
                     pick(bits ^ 1 << v, total, v + 1, left - 1, universe)
@@ -282,6 +320,22 @@ def _walk(
 
     pick(root, count, 0, picks, whole)
     return best, examples, scanned
+
+
+def _leads(v: int, prior: int, down: bool) -> bool:
+    """Whether a first pick v (``prior`` -1), or a second pick v after
+    ``prior``, may start the lexicographically least set of its orbit
+    under the cube's automorphisms.
+
+    That set holds 0, and its second member is some 2^j - 1. Upward v is
+    a member of the set, so a first pick must be 0 and a second one of the
+    form 2^j - 1. Downward v is a member of the removed set, smallest
+    first: a first pick of 0 removes 0, and after a first pick of 1 every
+    second pick but 2 leaves 2 as the set's second member.
+    """
+    if down:
+        return v != 0 if prior < 0 else prior != 1 or v == 2
+    return v == 0 if prior < 0 else v & (v + 1) == 0
 
 
 # Picks left from which an upward level keeps its universe's count. At

@@ -310,6 +310,49 @@ MUTANTS = (
             "tests/test_oracle.py::TestBruteForce::test_singletons_of_the_20_cube_at_q_zero",
         ),
     ),
+    # A pick test that cuts too much changes no result, since it waits for
+    # a full list and the first set scanned is a maximizer; only the orbit
+    # tests see the second and third. The first cuts before the list is
+    # full, and so drops ties from it.
+    Mutant(
+        "walk: symmetry cut before the argmax list is full",
+        "oracle.py",
+        "or lead and len(examples) >= cap and not _leads(v, prior, down)",
+        "or lead and not _leads(v, prior, down)",
+        "tests/test_oracle.py",
+        "independent_reference and ([2-2] or [3-2] or [3-6])",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[2-2]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[3-2]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[3-6]",
+        ),
+    ),
+    Mutant(
+        "pick test: a second pick of 2^j, not 2^j - 1",
+        "oracle.py",
+        "v & (v + 1) == 0",
+        "v & (v - 1) == 0",
+        "tests/test_oracle.py",
+        "least_images",
+        (
+            "tests/test_oracle.py::TestLeads::test_least_images_lead_in_small_cubes[2]",
+            "tests/test_oracle.py::TestLeads::test_least_images_lead_in_small_cubes[3]",
+            "tests/test_oracle.py::TestLeads::test_least_images_lead_in_the_4_cube",
+        ),
+    ),
+    Mutant(
+        "pick test: a first removal of 1 cut, not of 0",
+        "oracle.py",
+        "v != 0 if prior < 0",
+        "v != 1 if prior < 0",
+        "tests/test_oracle.py",
+        "least_images",
+        (
+            "tests/test_oracle.py::TestLeads::test_least_images_lead_in_small_cubes[2]",
+            "tests/test_oracle.py::TestLeads::test_least_images_lead_in_small_cubes[3]",
+            "tests/test_oracle.py::TestLeads::test_least_images_lead_in_the_4_cube",
+        ),
+    ),
     Mutant(
         "walk: a cut subtree's sets not added to scanned",
         "oracle.py",

@@ -195,6 +195,21 @@ def permute_coordinates(v: int, perm, n: int) -> int:
     return out
 
 
+def orbit(members, n: int) -> set:
+    """Every image of a vertex collection under the cube's automorphisms.
+
+    Applies each of the n! coordinate permutations and then each of the
+    2^n XOR translations to every member, one vertex at a time; each
+    image is the tuple of its members in ascending order.
+    """
+    images = set()
+    for perm in permutations(range(n)):
+        moved = [permute_coordinates(v, perm, n) for v in members]
+        for shift in range(1 << n):
+            images.add(tuple(sorted(v ^ shift for v in moved)))
+    return images
+
+
 def special_bijection_exists(ilo: int, ihi: int, jlo: int, jhi: int) -> bool:
     """Whether some bijection [ilo:ihi] -> [jlo:jhi] never lowers the weight.
 

@@ -97,6 +97,10 @@ class TestVertexSet:
         for bits in (1 << 4, -1):
             with pytest.raises(ValueError, match=r"does not fit in 2\^2 positions"):
                 VertexSet.from_bits(2, bits)
+        # the indicator's type is checked as __init__ checks a member's
+        for bits in (1.0, "1", True, None):
+            with pytest.raises(TypeError, match="indicator must be an int"):
+                VertexSet.from_bits(2, bits)
 
     def test_shuffled_members_match_summed_indicator(self):
         n = 16

@@ -1,5 +1,6 @@
 """Tests for the exhaustive k-subset oracle."""
 
+import random
 import signal
 import time
 from contextlib import contextmanager
@@ -15,6 +16,7 @@ from cubeseg.oracle import (
     BudgetExceeded,
     OracleResult,
     _MaskTable,
+    _leads,
     _walk,
     brute_force_mq,
     is_optimal_set,
@@ -272,6 +274,38 @@ class TestBruteForce:
         # input error and not a budget overrun.
         with pytest.raises(ValueError, match="dim"):
             brute_force_mq(n, 2, 0)
+
+
+class TestLeads:
+    """The pick test of the oracle's symmetry cut never rejects the first or
+    second pick of a set that is least in its orbit.
+
+    No result can show a wrong pick test, since the cut waits for a full
+    argmax list and the first set scanned is already a maximizer, so
+    these tests are its only check."""
+
+    @staticmethod
+    def _check(members, n):
+        least = min(oracles.orbit(members, n))
+        removed = [v for v in range(2**n) if v not in least]
+        # upward the picks are the set's members, downward the removed
+        # set's, smallest first
+        for picks, down in ((least, False), (removed, True)):
+            if picks:
+                assert _leads(picks[0], -1, down), (least, down)
+            if len(picks) > 1:
+                assert _leads(picks[1], picks[0], down), (least, down)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_least_images_lead_in_small_cubes(self, n):
+        # every nonempty set, since k >= 1; the empty set holds no 0
+        for bits in range(1, 2 ** 2**n):
+            self._check([v for v in range(2**n) if bits >> v & 1], n)
+
+    def test_least_images_lead_in_the_4_cube(self):
+        rng = random.Random(4)
+        for _ in range(400):
+            self._check(rng.sample(range(16), rng.randrange(1, 16)), 4)
 
 
 class TestMaskTable:
