@@ -34,29 +34,26 @@ exactly when G_{q-1}(k') + G_q(k-k') = G_q(k).
 
 The table builder therefore tabulates the closed form and records, for
 every (q, k), the splits that pass this test: the full set of maximizing
-k'. It makes one pass over k and tests, at each k, every split of every
-row at once, each row in three packed integers. In each, field i of w
-bits, w a multiple of 8, stands for k' = i + 1: the first holds the lead
-G_{q-1}(k') + 2^(w-1), the second G_q(k-k'), shifted by one field per k,
-and the third a 1. The first plus the second minus G_q(k) times the third
+k'. A maximizer of row q is one of row q + 1, so only the top row tests
+every split. Each row below keeps the maximizers of the row above that
+pass its own test, three list lookups per split, and takes the row
+above's tuple when none drops. The top row is tested in one pass over k,
+on three packed integers. In each, field i of w bits, w a multiple of 8,
+stands for k' = i + 1: the first holds the lead G_{q-1}(k') + 2^(w-1),
+the second G_q(k-k'), shifted by one field per k, and the third a 1. The first plus the second minus G_q(k) times the third
 holds
 
     G_{q-1}(k') + G_q(k-k') + 2^(w-1) - G_q(k)
 
-in field i. One width serves every row, the narrowest that keeps G_1(kmax)
-below 2^(w-1). G_q(x) falls as q grows and never falls as x grows, so
-every target G_q(k) and every reversed entry G_q(k-k') is at most
-G_1(kmax), and so is every lead: the tail sum at 2k' gives
-G_{q-1}(k') <= G_q(2k'). At k the tail sum gives
+in field i. The width is the narrowest that keeps G_q(kmax) below
+2^(w-1). G_q(x) never falls as x grows, so every target G_q(k) and every
+reversed entry G_q(k-k') is at most G_q(kmax), and so is every lead: the
+tail sum at 2k' gives G_{q-1}(k') <= G_q(2k'). At k the tail sum gives
 G_{q-1}(k') + G_q(k-k') <= G_q(k), so field i holds a value in
-(0, 2^(w-1)]: no field
-carries into or borrows from the next, and the top bit of field i, its
-guard bit, is set exactly when k' maximizes F_q(k). The packed integers
-start empty at k = 2 and gain one field at each even k; the ones, the
-guard bits and the field mask are built once per k for every row. A
-maximizer of row q - 1 is one of row q, so each row's guard bits include
-those of the row before it, and a row whose guard bits equal them takes
-that row's tuple.
+(0, 2^(w-1)]: no field carries into or borrows from the next, and the top
+bit of field i, its guard bit, is set exactly when k' maximizes F_q(k).
+The packed integers start empty at k = 2 and gain one field at each even
+k, with the ones, the guard bits and the field mask.
 
 Independently of the recursion, a split (k-k1, k1) of k is *hypercubic*
 when k1 counts the members of {0, ..., k-1} having some fixed bit set;
@@ -80,11 +77,11 @@ __all__ = [
 
 # build_table refuses a table of more than _MAX_SPLITS splits or
 # _MAX_CELLS values. At the split bound, (1, 16384) builds in ~0.6 s;
-# (64, 2048), whose rows q >= 12 are 0 and tie at every split, builds one
-# such row and copies the rest, in ~0.3 s. The value bound stops tables
-# of few splits per value and many rows, which the split bound lets
-# through: (2^18 - 1, 4) builds in ~0.9 s, and (10^8, 1), which scores no
-# split, would need ~8 GB.
+# (64, 2048), whose rows q >= 12 are 0 and tie at every split, packs row
+# 12, keeps rows 11 to 1 from it and copies the rest, in ~0.3 s. The
+# value bound stops tables of few splits per value and many rows, which
+# the split bound lets through: (2^18 - 1, 4) builds in ~0.9 s, and
+# (10^8, 1), which scores no split, would need ~8 GB.
 _MAX_SPLITS = 1 << 26
 _MAX_CELLS = 1 << 20
 # find_onlyif_counterexamples refuses to list more than _MAX_LISTED
@@ -130,14 +127,16 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
 
     Each row is the closed form F_q(k) = sum over i < k of C(h(i), q). No
     split of k scores above F_q(k) (module docstring), so its maximizers
-    are the splits k' with G_{q-1}(k') + G_q(k-k') = G_q(k), read from
-    the guard bits of one packed comparison per row and k. All rows share
-    one field width, fixed by G_1(kmax), and one pass over k; a row whose
-    guard bits equal the previous row's takes its tuple. No i < kmax has
-    weight b = kmax.bit_length() or more, so every row q >= b is 0 up to
-    kmax, and in it every split ties: a split k' <= k/2 < 2^(b-1) scores
-    F_{q-1}(k') = 0, as no i < k' has weight b - 1. Rows past row b are
-    copied from it, with its maximizer tuples, instead of built.
+    are the splits k' with G_{q-1}(k') + G_q(k-k') = G_q(k). No i < kmax
+    has weight b = kmax.bit_length() or more, so every row q >= b is 0 up
+    to kmax, and in it every split ties: a split k' <= k/2 < 2^(b-1)
+    scores F_{q-1}(k') = 0, as no i < k' has weight b - 1. The top row,
+    q = min(qmax, b), reads its maximizers from the guard bits of one
+    packed comparison per k, in fields sized from its own G_q(kmax),
+    which bounds every field. The maximizer sets nest, so each row below
+    keeps the splits of the row above that pass its own test, and takes
+    the row above's tuple when all of them do. Rows past row b are copied
+    from it, with its maximizer tuples, instead of built.
 
     Raises ``ValueError`` before anything is allocated when the table would
     score more than ``_MAX_SPLITS`` splits or hold more than
@@ -159,44 +158,42 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
     # tails[q][x] = G_q(x), the sum over i < x of max(0, h(i) - q + 1)
     tails = [[0, *accumulate(max(0, w - q + 1) for w in weights)] for q in range(last + 1)]
     maximizer_sets: dict[tuple[int, int], tuple[int, ...]] = {}
+    ks = [*range(2, kmax + 1)]  # one int per k, shared by the keys of every row
     if last:
-        # G_1(kmax) bounds every lead, reversed entry and target: no field carries.
-        size = tails[1][kmax].bit_length() // 8 + 1
+        tail, below = tails[last], tails[last - 1]
+        # G_last(kmax) bounds every lead, reversed entry and target: no field carries.
+        size = tail[kmax].bit_length() // 8 + 1
         width = 8 * size
         limit, field = 1 << (width - 1), (1 << width) - 1
-        # per row q: [q, G_q, G_{q-1}, packed lead, packed reversed tail]
-        rows = [[q, tails[q], tails[q - 1], 0, 0] for q in range(1, last + 1)]
-        ones = guard = mask = 0
-        for k in range(2, kmax + 1):
+        ones = guard = mask = lead = rev = 0
+        row: list[tuple[int, ...]] = [(), ()]  # row[k]: the maximizers of F_q(k), q = last, ..., 1
+        for k in ks:
             half = k // 2
-            odd = k % 2
-            if not odd:
+            if k % 2:
+                rev = (rev << width | tail[k - 1]) & mask
+            else:
                 shift = (half - 1) * width
                 ones |= 1 << shift
                 guard |= limit << shift
                 mask |= field << shift
-            seen = 0  # the previous row's hits: row q marks every split row q - 1 marks
-            for row in rows:
-                q, tail, below, lead, rev = row
-                if odd:
-                    rev = (rev << width | tail[k - 1]) & mask
-                else:
-                    lead |= (limit | below[half]) << shift
-                    rev = rev << width | tail[k - 1]
-                    row[3] = lead
-                row[4] = rev
-                hits = (lead + rev - tail[k] * ones) & guard
-                if hits != seen:
-                    seen = hits
-                    found = (
-                        tuple(range(1, half + 1)) if hits == guard else _marked(hits, half, size)
-                    )
-                maximizer_sets[(q, k)] = found
+                lead |= (limit | below[half]) << shift
+                rev = rev << width | tail[k - 1]
+            hits = (lead + rev - tail[k] * ones) & guard
+            found = tuple(range(1, half + 1)) if hits == guard else _marked(hits, half, size)
+            maximizer_sets[(last, k)] = found
+            row.append(found)
+        # row q keeps the maximizers of row q + 1 that pass its own test
+        for q in range(last - 1, 0, -1):
+            t, b = tails[q], tails[q - 1]
+            for k in ks:
+                above, target = row[k], t[k]
+                kept = [a for a in above if b[a] + t[k - a] == target]
+                if len(kept) < len(above):
+                    row[k] = tuple(kept)
+                maximizer_sets[(q, k)] = row[k]
     values += [values[last][:] for _ in range(last, qmax)]
     maximizer_sets.update(
-        ((q, k), maximizer_sets[(last, k)])
-        for q in range(last + 1, qmax + 1)
-        for k in range(2, kmax + 1)
+        ((q, k), maximizer_sets[(last, k)]) for q in range(last + 1, qmax + 1) for k in ks
     )
     return RecursionTable(qmax=qmax, kmax=kmax, values=values, maximizer_sets=maximizer_sets)
 

@@ -119,35 +119,34 @@ MUTANTS = (
             "tests/test_recursion.py::TestMaximizers::test_tail_rule",
         ),
     ),
-    # A shared width one byte short is caught only at kmax = 1, where it is
-    # 0 and the guard shift fails. Only the leads and the losses must stay
-    # below 2^(w-1), and in no tested table does one byte less let either
-    # reach it (see CHANGES.md). A width fixed from the last row's tail
-    # sums, the smallest, is caught.
+    # The top row's G_last(kmax) bounds every field. A width one byte short
+    # of it leaves 8-bit fields where that sum lies in [2^7, 2^8), and
+    # there a lead or a loss reaches the guard bit: G = 209, 201 and 224 in
+    # the three named tables.
     Mutant(
-        "build_table: fields sized from the last row's tail sums",
+        "build_table: fields one byte short of the top row's tail sums",
         "recursion.py",
-        "size = tails[1][kmax].bit_length() // 8 + 1",
-        "size = tails[last][kmax].bit_length() // 8 + 1",
-        "tests/test_recursion.py",
-        "full_scan or tail_rule",
-        (
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-600]",
-            "tests/test_recursion.py::TestMaximizers::test_tail_rule",
-        ),
-    ),
-    Mutant(
-        "build_table: a row takes the previous row's tuple when the top marks agree",
-        "recursion.py",
-        "if hits != seen:",
-        "if hits.bit_length() != seen.bit_length():",
+        "size = tail[kmax].bit_length() // 8 + 1",
+        "size = (tail[kmax].bit_length() - 1) // 8 + 1",
         "tests/test_recursion.py",
         "full_scan",
         (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[2-96]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[3-128]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[1-76]",
+        ),
+    ),
+    Mutant(
+        "build_table: a lower row tested against its own tail sums for both terms",
+        "recursion.py",
+        "if b[a] + t[k - a] == target",
+        "if t[a] + t[k - a] == target",
+        "tests/test_recursion.py",
+        "full_scan or filtered_rows",
+        (
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-600]",
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[3-1100]",
+            "tests/test_recursion.py::TestMaximizers::test_filtered_rows_match_packed_rows",
         ),
     ),
     Mutant(

@@ -62,18 +62,22 @@ class TestBuildTable:
             for k in range(2, 65):
                 assert table.maximizer_sets[(q, k)]
 
-    # build_table takes every maximizer from the guard bits of its packed
-    # tail-sum test, in fields of one width for every row, fixed from
-    # G_1(kmax) = sum over i < kmax of h(i). That sum reaches 2^7 at
-    # kmax = 48 and 2^8 at kmax = 86, so (4, 48) is the first table in
-    # 16-bit fields and (6, 86) packs G_1(86) = 259 in them, as (8, 600)
-    # and (3, 2560) pack G_1 = 2660 and 14080 near the other end. (6, 98)
-    # holds the small k of every row; (3, 1100) holds k = 2^m - 1, 2^m,
-    # 2^m + 1 for m = 9 and m = 10; every split of the rows q >= 9 of
-    # (12, 300) ties, and (3, 1) .. (3, 3) score at most one split per k.
+    # build_table takes the top row's maximizers from the guard bits of its
+    # packed tail-sum test, in fields whose width is fixed from that row's
+    # own G_last(kmax) = sum over i < kmax of max(0, h(i) - last + 1), and
+    # keeps each lower row's from the row above. G_2(96) = 209,
+    # G_3(128) = 201 and G_1(76) = 224 lie in [2^7, 2^8), so these tables
+    # need 16-bit fields: in 8-bit ones a lead or a loss reaches the guard
+    # bit. (4, 48) and (6, 86) pack their top rows in 8-bit fields
+    # (G = 13 and 1), though their G_1 = 128 and 259 would need 16 bits;
+    # (3, 1100) and (3, 2560) pack G_3 = 3233 and 8974 in 16-bit fields,
+    # and (8, 600) G_8 = 11 in 8-bit ones. (6, 98) holds the small k of
+    # every row; (3, 1100) holds k = 2^m - 1, 2^m, 2^m + 1 for m = 9 and
+    # m = 10; every split of the rows q >= 9 of (12, 300) ties, and
+    # (3, 1) .. (3, 3) score at most one split per k.
     # Row b = kmax.bit_length() is the first that is 0 and ties at every
     # split: row 9 of (12, 300), 6 of (16, 40) and 7 of (30, 100). It is
-    # built, and every row after it is copied.
+    # the packed row, and every row after it is copied.
     @pytest.mark.parametrize(
         "qmax,kmax",
         [
@@ -89,6 +93,9 @@ class TestBuildTable:
             (3, 1),
             (3, 2),
             (3, 3),
+            (2, 96),
+            (3, 128),
+            (1, 76),
         ],
     )
     def test_matches_full_scan(self, qmax, kmax):
@@ -193,12 +200,30 @@ class TestMaximizers:
             for k in range(2, 1025):
                 assert set(sets[(q - 1, k)]) <= set(sets[(q, k)])
 
+    # Every row below the top keeps the maximizers of the row above that
+    # pass its own test, three lookups per split; as the top row of the
+    # table to qmax = q, the same row comes from the packed test. Checked
+    # for every q < qmax <= 8 with qmax <= kmax.bit_length(), kmax <= 300,
+    # and at (6, 1024).
+    def test_filtered_rows_match_packed_rows(self):
+        for kmax in [*range(2, 301), 1024]:
+            top = min(6 if kmax == 1024 else 8, kmax.bit_length())
+            tables = [build_table(q, kmax) for q in range(top + 1)]
+            for built in tables[2:]:
+                for q in range(1, built.qmax):
+                    packed = tables[q]
+                    assert built.values[q] == packed.values[q]
+                    assert [built.maximizer_sets[(q, k)] for k in range(2, kmax + 1)] == [
+                        packed.maximizer_sets[(q, k)] for k in range(2, kmax + 1)
+                    ], (built.qmax, q, kmax)
+
     # For q = 1 the maximizers are exactly the hypercubic splits, checked
-    # without the recursion. G_1(5462) = 32773 is past 2^15, so the table's
-    # fields are 24 bits wide, one byte more than at kmax = 5461.
+    # without the recursion. Row 1 is kept from row 2, the packed row, and
+    # G_2(6361) = 32770 is past 2^15, so its fields are 24 bits wide, one
+    # byte more than at kmax = 6360.
     def test_row_one_is_hypercubic(self):
-        sets = build_table(2, 5462).maximizer_sets
-        for k in range(2, 5463):
+        sets = build_table(2, 6361).maximizer_sets
+        for k in range(2, 6362):
             assert sets[(1, k)] == tuple(sorted(hypercubic_partitions(k)))
 
 
