@@ -28,16 +28,20 @@ top of its range, which takes T in reverse lexicographic order, and the
 counts and the capped argmax list are the same either way.
 
 A vertex is scored against a table that each scan fills as it goes: for
-each vertex v, the 2^n-bit masks of the q-subcubes the walk scores at v,
-each without v itself, so a set holds such a subcube exactly when its
-indicator ``bits`` has ``bits & m == m``. Picks before a fixed depth skip
-the table: upward a pick scores 0 while fewer than 2^q - 1 members, which
-a q-subcube needs besides v, precede it, and downward the first removal's
-C(n, q) is taken before the walk starts, so a scan with one removal builds
-no mask. A table keeps at most ``_TABLE_BYTES`` (64 MiB) of masks; a
-vertex past it has its masks built again at each use. At q = 0 every
-vertex's one mask is 0, and all share one list from the start. The masks
-are built here from the coordinates and not taken from ``cube``'s
+each vertex v, the 2^n-bit masks of every q-subcube through v, each
+without v itself, sorted ascending. A set holds such a subcube exactly
+when its indicator ``bits`` has ``bits & m == m``, which needs m <= bits,
+so the scoring loop stops at the first mask past ``bits``: every later
+one is past it too. Upward the prefix lies below v, so the subcubes that
+fit are those whose highest vertex is v, and the sort puts them first.
+Picks before a fixed depth skip the table: upward a pick scores 0 while
+fewer than 2^q - 1 members, which a q-subcube needs besides v, precede
+it, and downward the first removal's C(n, q) is taken before the walk
+starts, so a scan with one removal builds no mask. A table keeps at most
+``_TABLE_BYTES`` (64 MiB) of masks; a vertex past it has its masks built
+again at each use. At q = 0 every vertex's one mask is 0, and all share
+one list from the start. The masks are built here, from one shape per
+choice of q free coordinates, and not taken from ``cube``'s
 free-coordinate tables: the oracle is the check that the kernels are
 right, and a fault in a shared table would pass it.
 
@@ -59,9 +63,9 @@ those of the full scan.
   with at least ``_TRACKED`` picks left keep that count: it starts at the
   whole cube's and drops, as the loop passes each v, by the subcubes
   through v inside the universe. With nothing picked these are the
-  C(n - h(v), q) whose lowest vertex v is; below that, a second table of
-  every mask through v, within the same 64 MiB, finds them. Once the
-  universe's ceiling falls short, every later sibling is cut with it.
+  C(n - h(v), q) whose lowest vertex v is; below that, v's masks in the
+  same table find them. Once the universe's ceiling falls short, every
+  later sibling is cut with it.
 
 Once the argmax list is full, the walk also cuts by symmetry. m_q is
 invariant under the 2^n * n! automorphisms of the cube, the XOR
@@ -172,9 +176,9 @@ def brute_force_mq(
     on (n, k) alone, and the walk recurses over the prefix tree, one call
     per picked member: k - 1 calls deep upward, 2^n - k - 1 downward.
 
-    Each picked vertex is scored by testing the set against the masks of
-    the subcubes it completes, from a table the scan fills at first use
-    and keeps within 64 MiB. Upward nothing is scored while the prefix is
+    Each picked vertex is scored by testing the set against the sorted
+    masks of the subcubes through it, from the one table the scan fills
+    at first use and keeps within 64 MiB. Upward nothing is scored while the prefix is
     too small to hold a q-subcube, and downward the first removal takes
     C(n, q) without a mask, so ``(20, 2^20 - 1, q)`` scans its 2^20 sets
     in well under a second.
@@ -248,15 +252,12 @@ def _walk(
         # and adds at most the C(n, q) subcubes whose highest vertex it is
         step, picks, root, count, top = 1, k, 0, 0, max(0, k - (1 << q) + 1)
         reach = per_vertex
-    table = _MaskTable(n, q, through=down)
+    table = _MaskTable(n, q)
     kept, masks = table.kept, table.masks
     # upward, levels with _TRACKED picks left also keep the m_q of their
     # universe (see the module docstring), unless the count ceiling is
     # exact already: at q = 0, or when no pick is scored
     track = not down and q > 0 and top > 0 and picks >= _TRACKED
-    if track:
-        passing = _MaskTable(n, q, through=True, beside=table)
-        kept_passing, masks_passing = passing.kept, passing.masks
     best = -1
     # the least count a set needs to change the result: best while the
     # argmax list has room, best + 1 once it holds cap sets
@@ -270,10 +271,8 @@ def _walk(
         # ``universe`` is at least the m_q of every set below.
         nonlocal best, bar, examples, scanned
         scored = left <= top
-        # a first or second pick with picks below it, and the vertex
-        # picked before it, or -1
+        # a first or second pick with picks below it
         lead = left >= picks - 1 and left > 1
-        prior = (bits ^ root).bit_length() - 1 if lead else -1
         if left == 1:
             scanned += size - start
         else:
@@ -285,13 +284,15 @@ def _walk(
                 for m in kept[v] or masks(v):
                     if bits & m == m:
                         total += step
+                    elif m > bits:
+                        break
             if left > 1:
                 # cut the subtree of v when its ceiling falls short, or,
                 # past a full list, when v starts no orbit's least set
                 if (
                     total + lift < bar
                     or universe < bar
-                    or lead and len(examples) >= cap and not _leads(v, prior, down)
+                    or lead and len(examples) >= cap and not _leads(v, start - 1, down)
                 ):
                     scanned += comb(size - v - 1, left - 1)
                 else:
@@ -301,7 +302,7 @@ def _walk(
                     # inside it: with nothing picked, those lowest at v
                     if bits:
                         inside = bits | ones >> v + 1 << v + 1
-                        for m in kept_passing[v] or masks_passing(v):
+                        for m in kept[v] or masks(v):
                             if inside & m == m:
                                 universe -= 1
                     else:
@@ -344,57 +345,62 @@ def _leads(v: int, prior: int, down: bool) -> bool:
 # 3, and the whole sweep of n <= 4 and the n = 5 slices no faster.
 _TRACKED = 3
 
-# Bytes of mask lists one scan keeps, in one table or two beside each
-# other; past it, a vertex's masks are built again at each use. The
-# removed pairs of the 12-cube at q = 2 reach it: 66 masks of up to 4096
-# bits per vertex, ~91 MiB in all.
+# Bytes of mask lists and shapes one scan keeps; past it, a vertex's
+# masks are built again at each use. The removed pairs of the 12-cube at
+# q = 2 reach it: 66 masks of up to 4096 bits per vertex, ~91 MiB in all.
 _TABLE_BYTES = 1 << 26
 
 
 class _MaskTable:
-    """The q-subcubes the walk scores at each vertex v, as 2^n-bit masks
-    of their vertices other than v, built at a vertex's first use.
+    """The q-subcubes through each vertex v, as 2^n-bit masks of their
+    vertices other than v, sorted ascending and built at v's first use.
 
-    Upward (``through`` false) these are the subcubes whose highest vertex
-    is v, which free q of v's one-bits; downward (``through`` true), every
-    subcube through v. Such a subcube lies inside S + {v} exactly when its
-    mask m has ``bits & m == m`` for the indicator ``bits`` of S.
-    ``kept[v]`` is v's list while the lists stay within _TABLE_BYTES, else
-    None; a table made ``beside`` another shares that one's bound. At
-    q = 0 a vertex's one subcube is itself, whose mask is 0, so every
-    entry is the same list [0] from the start.
+    Such a subcube lies inside S + {v} exactly when its mask m has
+    ``bits & m == m`` for the indicator ``bits`` of S, which needs
+    m <= bits; so a scan of the sorted list stops at the first mask past
+    ``bits``. Upward, where S lies below v, the subcubes that fit are
+    those topped at v. ``kept[v]`` is v's list while the lists stay
+    within _TABLE_BYTES, else None. The lists are built from ``shapes``,
+    one indicator per choice of q free coordinates, made at the first
+    build and counted against the bound: a scan that builds no mask, such
+    as (20, 2^20 - 1, 10), makes none of its C(20, 10) shapes. At q = 0 a
+    vertex's one subcube is itself, whose mask is 0, so every entry is
+    the same list [0] from the start.
     """
 
-    def __init__(self, n: int, q: int, through: bool, beside: _MaskTable | None = None):
+    def __init__(self, n: int, q: int):
         self.n = n
         self.q = q
-        self.through = through
         self.kept: list[list[int] | None] = [[0] if q == 0 else None] * (1 << n)
-        # the bytes left under the bound, in a list that tables beside share
-        self.room = beside.room if beside else [_TABLE_BYTES]
-        self.room[0] -= getsizeof(self.kept)
+        self.shapes: list[tuple[int, int]] | None = None
+        self.room = _TABLE_BYTES - getsizeof(self.kept)
 
     def masks(self, v: int) -> list[int]:
         found = self.kept[v]
         if found is None:
             found = self.build(v)
             size = getsizeof(found) + sum(map(getsizeof, found))
-            if size <= self.room[0]:
-                self.room[0] -= size
+            if size <= self.room:
+                self.room -= size
                 self.kept[v] = found
         return found
 
     def build(self, v: int) -> list[int]:
-        steps = [1 << c for c in range(self.n) if self.through or v >> c & 1]
-        found = []
-        for free in combinations(steps, self.q):
-            # the subcube's indicator shifted down to its lowest vertex
-            low, shape = v, 1
-            for step in free:
-                low -= v & step
-                shape |= shape << step
-            found.append((shape ^ 1 << (v - low)) << low)
-        return found
+        if self.shapes is None:
+            # (span, shape): the free coordinates' bits and the indicator
+            # of the subcube they span from vertex 0
+            self.shapes = []
+            for free in combinations([1 << c for c in range(self.n)], self.q):
+                shape = 1
+                for step in free:
+                    shape |= shape << step
+                self.shapes.append((sum(free), shape))
+            self.room -= getsizeof(self.shapes) + sum(
+                getsizeof(pair) + sum(map(getsizeof, pair)) for pair in self.shapes
+            )
+        # the subcube through v is the shape moved to its lowest vertex,
+        # v & ~span, where v sits at v & span
+        return sorted((shape ^ 1 << (v & span)) << (v & ~span) for span, shape in self.shapes)
 
 
 def is_optimal_set(S: VertexSet, q: int) -> bool:

@@ -281,13 +281,28 @@ MUTANTS = (
     Mutant(
         "mask table: a mask keeps its scored vertex",
         "oracle.py",
-        "found.append((shape ^ 1 << (v - low)) << low)",
-        "found.append(shape << low)",
+        "(shape ^ 1 << (v & span)) << (v & ~span)",
+        "shape << (v & ~span)",
         "tests/test_oracle.py",
         "masks_match or independent_reference",
         (
             "tests/test_oracle.py::TestMaskTable::test_masks_match_generated_subcubes[3]",
             "tests/test_oracle.py::TestMaskTable::test_masks_match_generated_subcubes[5]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
+        ),
+    ),
+    # The scoring loop stops at the first mask past the set's indicator,
+    # which is exact only when every later mask is past it too.
+    Mutant(
+        "mask table: masks left unsorted",
+        "oracle.py",
+        "return sorted((shape",
+        "return list((shape",
+        "tests/test_oracle.py",
+        "independent_reference",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[2-2]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[3-3]",
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
         ),
     ),
@@ -316,8 +331,8 @@ MUTANTS = (
     Mutant(
         "walk: symmetry cut before the argmax list is full",
         "oracle.py",
-        "or lead and len(examples) >= cap and not _leads(v, prior, down)",
-        "or lead and not _leads(v, prior, down)",
+        "or lead and len(examples) >= cap and not _leads(v, start - 1, down)",
+        "or lead and not _leads(v, start - 1, down)",
         "tests/test_oracle.py",
         "independent_reference and ([2-2] or [3-2] or [3-6])",
         (

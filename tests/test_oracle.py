@@ -3,6 +3,7 @@
 import random
 import signal
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 from math import comb
@@ -311,31 +312,28 @@ class TestLeads:
 class TestMaskTable:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_masks_match_generated_subcubes(self, n):
-        # Each vertex's masks against itertools-generated subcubes: those
-        # whose highest vertex it is, and all through it, without itself.
+        # Each vertex's masks against itertools-generated subcubes, all
+        # those through it, without itself, in ascending order.
         for q in range(n + 1):
-            top = _MaskTable(n, q, through=False)
-            through = _MaskTable(n, q, through=True)
+            table = _MaskTable(n, q)
             for v in range(2**n):
-                cubes = [cube for cube in oracles._subcubes(n, q) if v in cube]
-                expected = sorted(sum(1 << u for u in cube if u != v) for cube in cubes)
-                assert sorted(through.masks(v)) == expected, (q, v)
                 expected = sorted(
-                    sum(1 << u for u in cube if u != v) for cube in cubes if max(cube) == v
+                    sum(1 << u for u in cube if u != v)
+                    for cube in oracles._subcubes(n, q)
+                    if v in cube
                 )
-                assert sorted(top.masks(v)) == expected, (q, v)
+                assert table.masks(v) == expected, (q, v)
 
     def test_q_zero_shares_one_list(self):
         # A vertex's one 0-subcube is itself, whose mask without it is 0.
-        for through in (False, True):
-            kept = _MaskTable(4, 0, through=through).kept
-            assert kept[0] == [0] and all(masks is kept[0] for masks in kept)
+        kept = _MaskTable(4, 0).kept
+        assert kept[0] == [0] and all(masks is kept[0] for masks in kept)
 
     def test_kept_masks_stay_within_the_byte_bound(self):
         # All 66 subcubes of dimension 2 through each vertex of the
         # 12-cube take ~91 MiB as masks of up to 4096 bits, so the table
         # keeps some vertices and rebuilds the rest at each use.
-        table = _MaskTable(12, 2, through=True)
+        table = _MaskTable(12, 2)
         for v in range(2**12):
             masks = table.masks(v)
             assert masks == table.build(v)
@@ -345,25 +343,38 @@ class TestMaskTable:
         used = getsizeof(table.kept) + sum(
             getsizeof(masks) + sum(map(getsizeof, masks)) for masks in kept
         )
-        assert used == _TABLE_BYTES - table.room[0] <= _TABLE_BYTES
+        used += getsizeof(table.shapes) + sum(
+            getsizeof(pair) + sum(map(getsizeof, pair)) for pair in table.shapes
+        )
+        assert len(table.shapes) == comb(12, 2)
+        assert used == _TABLE_BYTES - table.room <= _TABLE_BYTES
 
-    def test_tables_beside_each_other_share_the_bound(self, monkeypatch):
-        # The upward walk keeps its through-v masks beside its scoring
-        # masks, and the two together stay within one bound.
-        monkeypatch.setattr("cubeseg.oracle._TABLE_BYTES", 4096)
-        top = _MaskTable(6, 2, through=False)
-        through = _MaskTable(6, 2, through=True, beside=top)
-        assert through.room is top.room
-        for v in range(2**6):
-            assert top.masks(v) == top.build(v)
-            assert through.masks(v) == through.build(v)
-        used = 0
-        for table in (top, through):
-            kept = [masks for masks in table.kept if masks is not None]
-            used += getsizeof(table.kept)
-            used += sum(getsizeof(masks) + sum(map(getsizeof, masks)) for masks in kept)
-        assert used == 4096 - top.room[0] <= 4096
-        assert None in through.kept
+    def test_one_table_per_scan(self, monkeypatch):
+        # An upward scan that keeps its universe's count reads the masks
+        # it scores with for the universe's upkeep too.
+        made = []
+
+        class Counted(_MaskTable):
+            def __init__(self, n, q):
+                made.append((n, q))
+                super().__init__(n, q)
+
+        monkeypatch.setattr("cubeseg.oracle._MaskTable", Counted)
+        assert brute_force_mq(4, 8, 2).max_count == prefix_hq(8, 2)
+        assert made == [(4, 2)]
+
+    def test_a_scan_that_builds_no_mask_makes_no_shape(self):
+        # One removal from the 20-cube scores C(20, 10) without a mask, so
+        # none of the C(20, 10) shapes of up to 2^20 bits, gigabytes in
+        # all, is made; the table's 2^20 empty entries are most of the peak.
+        tracemalloc.start()
+        try:
+            res = brute_force_mq(20, 2**20 - 1, 10, argmax_cap=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.max_count == comb(20, 10) * (2**10 - 1)
+        assert peak < 32 * 2**20
 
 
 class TestIsOptimal:
