@@ -34,14 +34,18 @@ exactly when G_{q-1}(k') + G_q(k-k') = G_q(k).
 
 The table builder therefore tabulates the closed form and records, for
 every (q, k), the splits that pass this test: the full set of maximizing
-k'. A maximizer of row q is one of row q + 1, so only the top row tests
-every split. Each row below keeps the maximizers of the row above that
-pass its own test, three list lookups per split, and takes the row
-above's tuple when none drops. The top row is tested in one pass over k,
-on three packed integers. In each, field i of w bits, w a multiple of 8,
-stands for k' = i + 1: the first holds the lead G_{q-1}(k') + 2^(w-1),
-the second G_q(k-k'), shifted by one field per k, and the third a 1. The first plus the second minus G_q(k) times the third
-holds
+k'. One tie rule settles every k below 2^q: no i < k has weight q, so
+G_q(k) = 0, and a split k' <= k/2 < 2^(q-1) has G_{q-1}(k') = 0 and
+G_q(k-k') = 0, so every split of k ties. A maximizer of row q is one of
+row q + 1, so only the top row tests every split, and by the tie rule
+only for k >= 2^q. Each row q below keeps the maximizers of the row above
+that pass its own test, three list lookups per split, again only for
+k >= 2^q, and takes the row above's tuple when none drops. The top row
+is tested in one pass over k, on three packed integers. In each, field i
+of w bits, w a multiple of 8, stands for k' = i + 1: the first holds the
+lead G_{q-1}(k') + 2^(w-1), the second G_q(k-k'), shifted by one field
+per k, and the third a 1. The first plus the second minus G_q(k) times
+the third holds
 
     G_{q-1}(k') + G_q(k-k') + 2^(w-1) - G_q(k)
 
@@ -53,7 +57,8 @@ G_{q-1}(k') + G_q(k-k') <= G_q(k), so field i holds a value in
 (0, 2^(w-1)]: no field carries into or borrows from the next, and the top
 bit of field i, its guard bit, is set exactly when k' maximizes F_q(k).
 The packed integers start empty at k = 2 and gain one field at each even
-k, with the ones, the guard bits and the field mask.
+k, with the ones, the guard bits and the field mask; the guard bits are
+read from k = 2^q on.
 
 Independently of the recursion, a split (k-k1, k1) of k is *hypercubic*
 when k1 counts the members of {0, ..., k-1} having some fixed bit set;
@@ -64,7 +69,7 @@ exactly, while for larger q the reverse inclusion can fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, filterfalse
+from itertools import accumulate, chain, filterfalse, repeat
 from math import comb
 
 __all__ = [
@@ -76,16 +81,17 @@ __all__ = [
 ]
 
 # build_table refuses a table of more than _MAX_SPLITS splits or
-# _MAX_CELLS values. At the split bound, (1, 16384) builds in ~0.6 s;
-# (64, 2048), whose rows q >= 12 are 0 and tie at every split, packs row
-# 12, keeps rows 11 to 1 from it and copies the rest, in ~0.3 s. The
-# value bound stops tables of few splits per value and many rows, which
-# the split bound lets through: (2^18 - 1, 4) builds in ~0.9 s, and
-# (10^8, 1), which scores no split, would need ~8 GB.
+# _MAX_CELLS values. At the split bound, (1, 16384) builds in ~0.5 s;
+# (64, 2048), whose every k lies below 2^12 and so ties at every split of
+# rows q >= 12, runs no packed comparison and filters row q < 12 only from
+# k = 2^q, in ~0.13 s. The value bound stops tables of few splits per
+# value and many rows, which the split bound lets through: (2^18 - 1, 4)
+# builds in ~0.35 s, and (10^8, 1), which scores no split, would need ~8 GB.
 _MAX_SPLITS = 1 << 26
 _MAX_CELLS = 1 << 20
 # find_onlyif_counterexamples refuses to list more than _MAX_LISTED
-# maximizers: (24, 2048) lists 15,534,322 in ~2 s and ~250 MB, while the
+# maximizers: (24, 2048) lists 15,534,322 in ~0.3 s and ~35 MB, its
+# records sharing one excess per distinct maximizer tuple, while the
 # all-tie rows of (64, 2048) would list ~55 million.
 _MAX_LISTED = 1 << 24
 
@@ -127,16 +133,17 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
 
     Each row is the closed form F_q(k) = sum over i < k of C(h(i), q). No
     split of k scores above F_q(k) (module docstring), so its maximizers
-    are the splits k' with G_{q-1}(k') + G_q(k-k') = G_q(k). No i < kmax
-    has weight b = kmax.bit_length() or more, so every row q >= b is 0 up
-    to kmax, and in it every split ties: a split k' <= k/2 < 2^(b-1)
-    scores F_{q-1}(k') = 0, as no i < k' has weight b - 1. The top row,
-    q = min(qmax, b), reads its maximizers from the guard bits of one
-    packed comparison per k, in fields sized from its own G_q(kmax),
-    which bounds every field. The maximizer sets nest, so each row below
-    keeps the splits of the row above that pass its own test, and takes
-    the row above's tuple when all of them do. Rows past row b are copied
-    from it, with its maximizer tuples, instead of built.
+    are the splits k' with G_{q-1}(k') + G_q(k-k') = G_q(k), and by the tie
+    rule every split of k < 2^q passes. The top row, q = min(qmax, b) with
+    b = kmax.bit_length(), takes the tuple (1, ..., k // 2) for each
+    k < 2^q and reads the rest from the guard bits of one packed
+    comparison per k, in fields sized from its own G_q(kmax), which bounds
+    every field. As 2^b > kmax, row b is all ties and runs no comparison.
+    The maximizer sets nest, so each row q below keeps the splits of the
+    row above that pass its own test, for k >= 2^q, and takes the row
+    above's tuple when all of them do; below 2^q it keeps the tie tuples.
+    Every row past b is 0 up to kmax and all ties as row b is: it shares
+    row b's tuples and copies its values.
 
     Raises ``ValueError`` before anything is allocated when the table would
     score more than ``_MAX_SPLITS`` splits or hold more than
@@ -153,20 +160,22 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
             f" {cells} values, past the bounds of {_MAX_SPLITS} and {_MAX_CELLS}"
         )
     weights = [i.bit_count() for i in range(kmax)]
-    last = min(qmax, kmax.bit_length())
-    values = [[0, *accumulate(comb(w, q) for w in weights)] for q in range(last + 1)]
+    top = min(qmax, kmax.bit_length())
+    values = [[0, *accumulate(comb(w, q) for w in weights)] for q in range(top + 1)]
     # tails[q][x] = G_q(x), the sum over i < x of max(0, h(i) - q + 1)
-    tails = [[0, *accumulate(max(0, w - q + 1) for w in weights)] for q in range(last + 1)]
-    maximizer_sets: dict[tuple[int, int], tuple[int, ...]] = {}
+    tails = [[0, *accumulate(max(0, w - q + 1) for w in weights)] for q in range(top + 1)]
     ks = [*range(2, kmax + 1)]  # one int per k, shared by the keys of every row
-    if last:
-        tail, below = tails[last], tails[last - 1]
-        # G_last(kmax) bounds every lead, reversed entry and target: no field carries.
+    start = 1 << top  # the tie rule: below k = 2^top every split of k ties
+    halves = tuple(range(1, min(start, kmax) // 2 + 1))  # one int per k', shared by the ties
+    # row[k]: the maximizers of F_q(k), from the top row down
+    row = [(), (), *(halves[: k // 2] for k in range(2, min(start, kmax + 1)))]
+    if top and start <= kmax:
+        tail, below = tails[top], tails[top - 1]
+        # G_top(kmax) bounds every lead, reversed entry and target: no field carries.
         size = tail[kmax].bit_length() // 8 + 1
         width = 8 * size
         limit, field = 1 << (width - 1), (1 << width) - 1
         ones = guard = mask = lead = rev = 0
-        row: list[tuple[int, ...]] = [(), ()]  # row[k]: the maximizers of F_q(k), q = last, ..., 1
         for k in ks:
             half = k // 2
             if k % 2:
@@ -178,23 +187,23 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
                 mask |= field << shift
                 lead |= (limit | below[half]) << shift
                 rev = rev << width | tail[k - 1]
-            hits = (lead + rev - tail[k] * ones) & guard
-            found = tuple(range(1, half + 1)) if hits == guard else _marked(hits, half, size)
-            maximizer_sets[(last, k)] = found
-            row.append(found)
-        # row q keeps the maximizers of row q + 1 that pass its own test
-        for q in range(last - 1, 0, -1):
-            t, b = tails[q], tails[q - 1]
-            for k in ks:
-                above, target = row[k], t[k]
-                kept = [a for a in above if b[a] + t[k - a] == target]
-                if len(kept) < len(above):
-                    row[k] = tuple(kept)
-                maximizer_sets[(q, k)] = row[k]
-    values += [values[last][:] for _ in range(last, qmax)]
-    maximizer_sets.update(
-        ((q, k), maximizer_sets[(last, k)]) for q in range(last + 1, qmax + 1) for k in ks
-    )
+            if k >= start:
+                row.append(_marked((lead + rev - tail[k] * ones) & guard, half, size))
+    rows = [None] * top + [row]  # rows[q] is row q
+    # row q keeps the maximizers of row q + 1 that pass its own test, from k = 2^q
+    for q in range(top - 1, 0, -1):
+        t, b = tails[q], tails[q - 1]
+        rows[q] = row = row[:]
+        for k in ks[(1 << q) - 2 :]:
+            above, target = row[k], t[k]
+            kept = [a for a in above if b[a] + t[k - a] == target]
+            if len(kept) < len(above):
+                row[k] = tuple(kept)
+    # a row past the top is 0 to kmax and ties at every split, as the top
+    # row does: it shares the top row's tuples and copies its values
+    pairs = zip(range(1, qmax + 1), chain(rows[1:], repeat(rows[top])))
+    maximizer_sets = {(q, k): row[k] for q, row in pairs for k in ks}
+    values += map(list.copy, repeat(values[top], qmax - top))
     return RecursionTable(qmax=qmax, kmax=kmax, values=values, maximizer_sets=maximizer_sets)
 
 
@@ -220,14 +229,12 @@ def hypercubic_partitions(k: int) -> set[int]:
         raise ValueError(f"k must be >= 2, got {k}")
     half = k // 2
     result: set[int] = set()
-    r = 0
-    while (1 << r) < k:
+    for r in range((k - 1).bit_length()):  # every r with 2^r < k
         block = 1 << r
         period = block << 1
         count = (k // period) * block + max(0, (k % period) - block)
         if 1 <= count <= half:
             result.add(count)
-        r += 1
     return result
 
 
@@ -244,14 +251,17 @@ def find_onlyif_counterexamples(qmax: int, kmax: int) -> list[OnlyIfCounterexamp
         raise ValueError(f"qmax must be >= 1, got {qmax}")
     if kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
-    table = build_table(qmax, kmax)
-    hypercubic = {k: hypercubic_partitions(k) for k in range(2, kmax + 1)}
-    found: list[OnlyIfCounterexample] = []
+    sets = build_table(qmax, kmax).maximizer_sets
+    found: list[list[OnlyIfCounterexample]] = [[] for _ in range(qmax + 1)]  # by q
     listed = 0
-    for q in range(1, qmax + 1):
-        for k in range(2, kmax + 1):
-            # the maximizer tuple is ascending, and so is what it keeps
-            excess = tuple(filterfalse(hypercubic[k].__contains__, table.maximizer_sets[(q, k)]))
+    for k in range(2, kmax + 1):
+        hypercubic = hypercubic_partitions(k).__contains__
+        last = None
+        for q in range(1, qmax + 1):
+            # a row that drops no split shares the row above's tuple, and its excess
+            if (maxi := sets[(q, k)]) is not last:
+                # the maximizer tuple is ascending, and so is what it keeps
+                last, excess = maxi, tuple(filterfalse(hypercubic, maxi))
             if excess:
                 listed += len(excess)
                 if listed > _MAX_LISTED:
@@ -259,5 +269,5 @@ def find_onlyif_counterexamples(qmax: int, kmax: int) -> list[OnlyIfCounterexamp
                         f"the counterexamples to qmax = {qmax}, kmax = {kmax} list more"
                         f" than {_MAX_LISTED} maximizers, past the bound"
                     )
-                found.append(OnlyIfCounterexample(q=q, k=k, non_hypercubic_maximizers=excess))
-    return found
+                found[q].append(OnlyIfCounterexample(q=q, k=k, non_hypercubic_maximizers=excess))
+    return [*chain.from_iterable(found)]

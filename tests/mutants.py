@@ -11,7 +11,9 @@ and requires a non-zero exit with every named test failing. A snippet
 that does not occur exactly once fails the gate, so a change to the code
 under a mutant has to update the mutant. Before the mutants, the union of
 the selections runs once against an unmutated copy and must pass, so a
-mutant is never counted as caught by a test that fails anyway.
+mutant is never counted as caught by a test that fails anyway. The
+mutants then run side by side, one pytest process per CPU, and are
+reported in the order they are listed.
 
 The file name keeps it out of Tier-1 collection (``test_*.py``). It uses
 only the standard library and exits non-zero when the gate fails.
@@ -25,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -165,14 +168,43 @@ MUTANTS = (
     Mutant(
         "build_table: rows past the weight bound start one row early",
         "recursion.py",
-        "last = min(qmax, kmax.bit_length())",
-        "last = min(qmax, kmax.bit_length() - 1)",
+        "top = min(qmax, kmax.bit_length())",
+        "top = min(qmax, kmax.bit_length() - 1)",
         "tests/test_recursion.py",
         "full_scan or copied_all_tie_rows",
         (
             "tests/test_recursion.py::TestBuildTable::test_copied_all_tie_rows",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[16-40]",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[12-300]",
+        ),
+    ),
+    # k = 2^top is the first k whose splits do not all tie in the top row
+    Mutant(
+        "build_table: tie prefix one k too long",
+        "recursion.py",
+        "start = 1 << top",
+        "start = (1 << top) + 1",
+        "tests/test_recursion.py",
+        "full_scan or first_k_past",
+        (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-256]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-64]",
+            "tests/test_recursion.py::TestMaximizers::test_first_k_past_the_ties",
+        ),
+    ),
+    # k = 2^q is the first k that row q filters, and it keeps one split of
+    # the row above's all-tie tuple
+    Mutant(
+        "build_table: lower row starts one k late",
+        "recursion.py",
+        "ks[(1 << q) - 2 :]",
+        "ks[(1 << q) - 1 :]",
+        "tests/test_recursion.py",
+        "full_scan or first_k_past",
+        (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-600]",
+            "tests/test_recursion.py::TestMaximizers::test_first_k_past_the_ties",
         ),
     ),
     Mutant(
@@ -186,6 +218,23 @@ MUTANTS = (
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[3-2]",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan_on_random_shapes",
+        ),
+    ),
+    # Row 1's maximizers are all hypercubic, so an excess kept from q = 1
+    # for every q of a k lists nothing
+    Mutant(
+        "counterexamples: excess reused by k alone",
+        "recursion.py",
+        "if (maxi := sets[(q, k)]) is not last:",
+        "if (maxi := sets[(q, k)]) is not last and last is None:",
+        "tests/test_recursion.py",
+        "TestOnlyIfCounterexamples or largest_counterexample",
+        (
+            "tests/test_recursion.py::TestOnlyIfCounterexamples"
+            "::test_expected_witness_at_small_scale",
+            "tests/test_recursion.py::TestOnlyIfCounterexamples"
+            "::test_records_match_a_scan_of_every_pair",
+            "tests/test_recursion.py::TestTableBounds::test_largest_counterexample_report_listed",
         ),
     ),
     Mutant(
@@ -477,10 +526,12 @@ def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="cubeseg-mutants-") as tmp:
         problems = _check_control(Path(tmp))
-        for i, mutant in enumerate(MUTANTS):
-            found = _check(mutant, Path(tmp) / str(i))
-            print(f"{'FAIL' if found else 'ok  '} {mutant.name}", flush=True)
-            problems += found
+        # each mutant has its own copy of src/, so they run side by side
+        with ThreadPoolExecutor(os.cpu_count()) as pool:
+            checks = pool.map(_check, MUTANTS, [Path(tmp) / str(i) for i in range(len(MUTANTS))])
+            for mutant, found in zip(MUTANTS, checks):
+                print(f"{'FAIL' if found else 'ok  '} {mutant.name}", flush=True)
+                problems += found
     for problem in problems:
         print(problem, file=sys.stderr)
     verdict = "gate failed" if problems else "every mutant caught"

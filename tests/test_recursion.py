@@ -75,13 +75,17 @@ class TestBuildTable:
     # every row; (3, 1100) holds k = 2^m - 1, 2^m, 2^m + 1 for m = 9 and
     # m = 10; every split of the rows q >= 9 of (12, 300) ties, and
     # (3, 1) .. (3, 3) score at most one split per k.
-    # Row b = kmax.bit_length() is the first that is 0 and ties at every
-    # split: row 9 of (12, 300), 6 of (16, 40) and 7 of (30, 100). It is
-    # the packed row, and every row after it is copied.
+    # Below k = 2^q every split of k ties in row q (the tie rule). Row
+    # b = kmax.bit_length() is the first whose every k lies below 2^q: row
+    # 9 of (12, 300), 6 of (16, 40) and 7 of (30, 100). It is the top row,
+    # runs no packed comparison, and every row after it shares its tuples.
+    # The top rows of (8, 256) and (6, 64) test only k = 2^top.
     @pytest.mark.parametrize(
         "qmax,kmax",
         [
             (6, 98),
+            (8, 256),
+            (6, 64),
             (4, 48),
             (6, 86),
             (8, 600),
@@ -104,7 +108,9 @@ class TestBuildTable:
         assert built.values == values
         assert built.maximizer_sets == maximizer_sets
 
-    # Past row 10 every F_q(k) up to k = 1024 is 0, so every split ties
+    # Every k <= 1024 lies below 2^q for q >= 11, so by the tie rule every
+    # F_q(k) is 0 and every split ties; row 11 is the top row, and rows 12
+    # to 40 share its tuples
     def test_copied_all_tie_rows(self):
         table = build_table(40, 1024)
         assert table.values[40] == [0] * 1025
@@ -156,7 +162,7 @@ class TestTableBounds:
             find_onlyif_counterexamples(2, 10**8)
 
     # (24, 2048) lists 15,534,322 maximizers, just inside _MAX_LISTED, in
-    # ~2 s; the all-tie rows of (64, 2048) would list ~55 million, and the
+    # ~0.3 s; the all-tie rows of (64, 2048) would list ~55 million, and the
     # scan stops once its records pass the bound.
     def test_largest_counterexample_report_listed(self):
         records = find_onlyif_counterexamples(24, 2048)
@@ -200,11 +206,12 @@ class TestMaximizers:
             for k in range(2, 1025):
                 assert set(sets[(q - 1, k)]) <= set(sets[(q, k)])
 
-    # Every row below the top keeps the maximizers of the row above that
-    # pass its own test, three lookups per split; as the top row of the
-    # table to qmax = q, the same row comes from the packed test. Checked
-    # for every q < qmax <= 8 with qmax <= kmax.bit_length(), kmax <= 300,
-    # and at (6, 1024).
+    # Every row q below the top keeps the maximizers of the row above that
+    # pass its own test, three lookups per split, from k = 2^q on, and the
+    # tie tuples below it; as the top row of the table to qmax = q, the
+    # same row comes from the tie rule and the packed test. Checked for
+    # every q < qmax <= 8 with qmax <= kmax.bit_length(), kmax <= 300, and
+    # at (6, 1024).
     def test_filtered_rows_match_packed_rows(self):
         for kmax in [*range(2, 301), 1024]:
             top = min(6 if kmax == 1024 else 8, kmax.bit_length())
@@ -216,6 +223,22 @@ class TestMaximizers:
                     assert [built.maximizer_sets[(q, k)] for k in range(2, kmax + 1)] == [
                         packed.maximizer_sets[(q, k)] for k in range(2, kmax + 1)
                     ], (built.qmax, q, kmax)
+
+    # The tie rule: below k = 2^q no i < k has weight q, so G_q(k) = 0 and
+    # every split of k ties, in the top row (q = 10) and in every row below
+    def test_every_split_ties_below_two_to_the_q(self):
+        sets = build_table(10, 1024).maximizer_sets
+        for q in range(1, 11):
+            for k in range(2, min(2**q, 1025)):
+                assert sets[(q, k)] == tuple(range(1, k // 2 + 1)), (q, k)
+
+    # At k = 2^q only i = 2^q - 1 has weight q, so G_q(2^q) = 1, and only
+    # k' = 2^(q-1) has G_{q-1}(k') = 1 with G_q(2^q - k') = 0: the first k
+    # the top row tests and the first k each lower row filters
+    def test_first_k_past_the_ties(self):
+        sets = build_table(10, 1024).maximizer_sets
+        for q in range(1, 11):
+            assert sets[(q, 2**q)] == (2 ** (q - 1),), q
 
     # For q = 1 the maximizers are exactly the hypercubic splits, checked
     # without the recursion. Row 1 is kept from row 2, the packed row, and
@@ -283,6 +306,19 @@ class TestOnlyIfCounterexamples:
             excess = set(rec.non_hypercubic_maximizers)
             assert excess <= maxi
             assert not excess & hypercubic_partitions(rec.k)
+
+    # Every (q, k) with a maximizer that is not hypercubic, from the table's
+    # sets and the direct count of each bit position, pair by pair
+    def test_records_match_a_scan_of_every_pair(self):
+        sets = build_table(8, 300).maximizer_sets
+        expected = [
+            (q, k, excess)
+            for q in range(1, 9)
+            for k in range(2, 301)
+            if (excess := tuple(sorted(set(sets[(q, k)]) - oracles.hypercubic_sizes(k))))
+        ]
+        records = find_onlyif_counterexamples(8, 300)
+        assert [(r.q, r.k, r.non_hypercubic_maximizers) for r in records] == expected
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
