@@ -252,7 +252,7 @@ def _cmd_hypercubic(ns) -> _Report:
 
 def _cmd_counterexample(ns) -> _Report:
     records = recursion.find_onlyif_counterexamples(ns.qmax, ns.kmax)
-    rows = [[rec.q, rec.k, list(rec.non_hypercubic_maximizers)] for rec in records]
+    rows = [[rec.q, rec.k, rec.non_hypercubic_maximizers] for rec in records]
     return _table(["q", "k", "non_hypercubic_maximizers"], rows)
 
 

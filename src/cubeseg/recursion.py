@@ -32,33 +32,77 @@ is, where G_q(x) = sum over i < x of max(0, h(i) - q + 1) counts each i
 once per threshold t >= q that h(i) reaches. So k' maximizes F_q(k)
 exactly when G_{q-1}(k') + G_q(k-k') = G_q(k).
 
-The table builder therefore tabulates the closed form and records, for
-every (q, k), the splits that pass this test: the full set of maximizing
-k'. One tie rule settles every k below 2^q: no i < k has weight q, so
-G_q(k) = 0, and a split k' <= k/2 < 2^(q-1) has G_{q-1}(k') = 0 and
-G_q(k-k') = 0, so every split of k ties. A maximizer of row q is one of
-row q + 1, so only the top row tests every split, and by the tie rule
-only for k >= 2^q. Each row q below keeps the maximizers of the row above
-that pass its own test, three list lookups per split, again only for
-k >= 2^q, and takes the row above's tuple when none drops. The top row
-is tested in one pass over k, on three packed integers. In each, field i
-of w bits, w a multiple of 8, stands for k' = i + 1: the first holds the
-lead G_{q-1}(k') + 2^(w-1), the second G_q(k-k'), shifted by one field
-per k, and the third a 1. The first plus the second minus G_q(k) times
-the third holds
+The table builder tabulates the closed form and reads every maximizer
+set off smaller ones, by the top bit of k. One tie rule settles every k
+below 2^q: no i < k has weight q, so G_q(k) = 0, and a split
+k' <= k/2 < 2^(q-1) has G_{q-1}(k') = 0 and G_q(k-k') = 0, so every
+split of k ties. Write M_q(k) for the maximizer set of F_q(k). For
+k >= 2^q let k = 2^p + r with 0 <= r < 2^p, so p >= q; then
 
-    G_{q-1}(k') + G_q(k-k') + 2^(w-1) - G_q(k)
+    M_q(k) = A_q(r) + {2^(p-1) + y : y in {0} + M_{q-1}(r), 2^(p-1) + y > r},
 
-in field i. The width is the narrowest that keeps G_q(kmax) below
-2^(w-1). G_q(x) never falls as x grows, so every target G_q(k) and every
-reversed entry G_q(k-k') is at most G_q(kmax), and so is every lead: the
-tail sum at 2k' gives G_{q-1}(k') <= G_q(2k'). At k the tail sum gives
-G_{q-1}(k') + G_q(k-k') <= G_q(k), so field i holds a value in
-(0, 2^(w-1)]: no field carries into or borrows from the next, and the top
-bit of field i, its guard bit, is set exactly when k' maximizes F_q(k).
-The packed integers start empty at k = 2 and gain one field at each even
-k, with the ones, the guard bits and the field mask; the guard bits are
-read from k = 2^q on.
+a union of two disjoint ascending runs, where M_0 = M_1 (T(0) = 0 for
+every split, so both rows test T(t) = 0 for t >= 1) and
+
+    A_q(r) = {x in [1, r] : G_{q-1}(x) + G_{q-1}(r-x) = G_{q-1}(r)}.
+
+Write T_t(k; x) for the T(t) of the split x of k, and let
+
+    U_s(r; x) = #{j in [r-x, r) : h(j) >= s} - #{i < x : h(i) >= s},
+
+which is never negative: Graham's bijection, in its non-strict form,
+maps [0, x) to [r-x, r) without lowering any weight. The splits x of k
+fall in three ranges.
+
+- x <= r. The window [k-x, k) lies in the top octave [2^p, 2^(p+1)),
+  where h(j) = 1 + h(j - 2^p), so T_t(k; x) = U_{t-1}(r; x). These vanish
+  for every t >= q exactly when their sum over t >= q does, and that sum
+  is G_{q-1}(r) - G_{q-1}(r-x) - G_{q-1}(x): A_q(r) is the test.
+- r < x < 2^(p-1). The window holds 2^p - 1, of weight p >= q, while
+  every source i < x has h(i) + 1 <= p - 1, so T_p(k; x) >= 1 and no
+  such x is a maximizer.
+- x = 2^(p-1) + y > r, with y <= r/2. The window is 2^(p-1) + [r-y, 2^(p-1))
+  and 2^p + [0, r), the sources [0, 2^(p-1)) and 2^(p-1) + [0, y); the
+  block [0, 2^(p-1)) of weights minus one cancels, leaving
+  T_t(k; x) = T_{t-1}(r; y). So x is a maximizer exactly when y = 0 or
+  y is one of M_{q-1}(r).
+
+A_q(r) takes the same split one level down. If r < 2^(q-1), every
+h(j) < q - 1 for j < r, every U_s with s >= q - 1 is 0 and A_q(r) is
+[1, r]. Otherwise let r = 2^a + b with 0 <= b < 2^a, so a >= q - 1. The
+test is symmetric under x -> r - x, and x = r always passes, so take
+x <= r/2:
+
+- x <= b. The window lies past 2^a, so
+  U_s(r; x) = U_{s-1}(b; x) + #{i < x : h(i) = s - 1}, and both terms
+  vanish for every s >= q - 1 exactly when x is one of A_{q-1}(b) and
+  x < 2^(q-2), below the first i of weight q - 2.
+- b < x < 2^(a-1). The window holds 2^a - 1, of weight a, while every
+  source has weight at most a - 2, so U_a(r; x) >= 1.
+- x >= 2^(a-1). Then U_s(r; x) >= C(a-1, s-1) >= 1 for 1 <= s <= a,
+  and some such s is at least q - 1.
+
+So with S = {x in A_{q-1}(b) : x < 2^(q-2)}, empty for q <= 2,
+
+    A_q(r) = S + (r - S) + {r},
+
+again in ascending order. Row 1 reads only itself: A_1(r) = {r} for
+r >= 1, and by
+induction on k the rule yields the hypercubic sizes below, so row 1 is
+exactly the hypercubic row. Each entry costs the length of its tuple; no
+split is scored one at a time.
+
+A_q(r) and M_q(k) both grow with q, and M_q(k) meets [1, r] in A_q(r),
+so M_q(k) = M_{q-1}(k) forces A_q(r) = A_{q-1}(r). The converse holds
+too: A_q(r) = A_{q-1}(r) forces M_{q-1}(r) = M_{q-2}(r), by induction on
+r. Below 2^(q-2) both rows tie at r. Below 2^(q-1), A_q(r) = [1, r], so
+A_{q-1}(r) = [1, r] too; as T_t(r; x) = U_t(r; x) - #{i < x : h(i) = t-1}
+lies in [0, U_t(r; x)], M_{q-2}(r) then holds all of [1, r/2], as the
+tied M_{q-1}(r) does. Past 2^(q-1), with r = 2^a + b, equal S parts
+leave b < 2^(q-3), where both rows tie at b, or A_{q-1}(b) = A_{q-2}(b),
+where the induction gives M_{q-2}(b) = M_{q-3}(b); either way the two
+rows split r alike. So M_q(k) = M_{q-1}(k) exactly when
+A_q(r) = A_{q-1}(r).
 
 Independently of the recursion, a split (k-k1, k1) of k is *hypercubic*
 when k1 counts the members of {0, ..., k-1} having some fixed bit set;
@@ -68,6 +112,7 @@ exactly, while for larger q the reverse inclusion can fail.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, filterfalse, repeat
 from math import comb
@@ -81,16 +126,17 @@ __all__ = [
 ]
 
 # build_table refuses a table of more than _MAX_SPLITS splits or
-# _MAX_CELLS values. At the split bound, (1, 16384) builds in ~0.5 s;
-# (64, 2048), whose every k lies below 2^12 and so ties at every split of
-# rows q >= 12, runs no packed comparison and filters row q < 12 only from
-# k = 2^q, in ~0.13 s. The value bound stops tables of few splits per
-# value and many rows, which the split bound lets through: (2^18 - 1, 4)
-# builds in ~0.35 s, and (10^8, 1), which scores no split, would need ~8 GB.
+# _MAX_CELLS values. It scores no split one at a time, but its tie tuples
+# hold up to kmax^2 / 4 ints. At the split bound, (1, 16384) builds in
+# ~0.03 s; (64, 2048), whose every k lies below 2^12 and so ties at every
+# split of rows q >= 12, builds in ~0.07 s at ~28 MB, nearly all of it
+# tie tuples. The value bound stops tables of few splits per value and
+# many rows, which the split bound lets through: (2^18 - 1, 4) builds in
+# ~0.35 s, and (10^8, 1), which scores no split, would need ~8 GB.
 _MAX_SPLITS = 1 << 26
 _MAX_CELLS = 1 << 20
 # find_onlyif_counterexamples refuses to list more than _MAX_LISTED
-# maximizers: (24, 2048) lists 15,534,322 in ~0.3 s and ~35 MB, its
+# maximizers: (24, 2048) lists 15,534,322 in ~0.2 s and ~35 MB, its
 # records sharing one excess per distinct maximizer tuple, while the
 # all-tie rows of (64, 2048) would list ~55 million.
 _MAX_LISTED = 1 << 24
@@ -131,22 +177,22 @@ class OnlyIfCounterexample:
 def build_table(qmax: int, kmax: int) -> RecursionTable:
     """Tabulate the recursion for all q <= qmax, k <= kmax.
 
-    Each row is the closed form F_q(k) = sum over i < k of C(h(i), q). No
-    split of k scores above F_q(k) (module docstring), so its maximizers
-    are the splits k' with G_{q-1}(k') + G_q(k-k') = G_q(k), and by the tie
-    rule every split of k < 2^q passes. The top row, q = min(qmax, b) with
-    b = kmax.bit_length(), takes the tuple (1, ..., k // 2) for each
-    k < 2^q and reads the rest from the guard bits of one packed
-    comparison per k, in fields sized from its own G_q(kmax), which bounds
-    every field. As 2^b > kmax, row b is all ties and runs no comparison.
-    The maximizer sets nest, so each row q below keeps the splits of the
-    row above that pass its own test, for k >= 2^q, and takes the row
-    above's tuple when all of them do; below 2^q it keeps the tie tuples.
-    Every row past b is 0 up to kmax and all ties as row b is: it shares
-    row b's tuples and copies its values.
+    Each row is the closed form F_q(k) = sum over i < k of C(h(i), q). The
+    maximizer sets follow the split of k = 2^p + r (module docstring), row
+    by row from q = 1: row q takes the tie tuple (1, ..., k // 2) for each
+    k < 2^q and, from k = 2^q on, joins A_q(r) to the 2^(p-1) + y past r
+    for y in {0} + M_{q-1}(r). The A_q(r) are built from A_{q-1} in the
+    same pass, for the r <= min(kmax - 2^q, kmax // 2) that row q reads.
+    Every tuple holds the ints of one shared tuple, and a tuple equal to
+    the row below's at the same k is that tuple: where A_q(r) equals
+    A_{q-1}(r), row q takes row q - 1's tuple whole, and elsewhere the two
+    differ (module docstring). The top row is q = min(qmax, b) with
+    b = kmax.bit_length(); as 2^b > kmax, row b is all ties, and every row
+    past it is 0 up to kmax and all ties as row b is: it shares row b's
+    tuples and copies its values.
 
     Raises ``ValueError`` before anything is allocated when the table would
-    score more than ``_MAX_SPLITS`` splits or hold more than
+    span more than ``_MAX_SPLITS`` splits or hold more than
     ``_MAX_CELLS`` values.
     """
     if qmax < 0:
@@ -162,60 +208,42 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
     weights = [i.bit_count() for i in range(kmax)]
     top = min(qmax, kmax.bit_length())
     values = [[0, *accumulate(comb(w, q) for w in weights)] for q in range(top + 1)]
-    # tails[q][x] = G_q(x), the sum over i < x of max(0, h(i) - q + 1)
-    tails = [[0, *accumulate(max(0, w - q + 1) for w in weights)] for q in range(top + 1)]
-    ks = [*range(2, kmax + 1)]  # one int per k, shared by the keys of every row
-    start = 1 << top  # the tie rule: below k = 2^top every split of k ties
-    halves = tuple(range(1, min(start, kmax) // 2 + 1))  # one int per k', shared by the ties
-    # row[k]: the maximizers of F_q(k), from the top row down
-    row = [(), (), *(halves[: k // 2] for k in range(2, min(start, kmax + 1)))]
-    if top and start <= kmax:
-        tail, below = tails[top], tails[top - 1]
-        # G_top(kmax) bounds every lead, reversed entry and target: no field carries.
-        size = tail[kmax].bit_length() // 8 + 1
-        width = 8 * size
-        limit, field = 1 << (width - 1), (1 << width) - 1
-        ones = guard = mask = lead = rev = 0
-        for k in ks:
-            half = k // 2
-            if k % 2:
-                rev = (rev << width | tail[k - 1]) & mask
-            else:
-                shift = (half - 1) * width
-                ones |= 1 << shift
-                guard |= limit << shift
-                mask |= field << shift
-                lead |= (limit | below[half]) << shift
-                rev = rev << width | tail[k - 1]
-            if k >= start:
-                row.append(_marked((lead + rev - tail[k] * ones) & guard, half, size))
-    rows = [None] * top + [row]  # rows[q] is row q
-    # row q keeps the maximizers of row q + 1 that pass its own test, from k = 2^q
-    for q in range(top - 1, 0, -1):
-        t, b = tails[q], tails[q - 1]
-        rows[q] = row = row[:]
-        for k in ks[(1 << q) - 2 :]:
-            above, target = row[k], t[k]
-            kept = [a for a in above if b[a] + t[k - a] == target]
-            if len(kept) < len(above):
-                row[k] = tuple(kept)
+    firsts = tuple(range(1, kmax // 2 + 1))  # firsts[x - 1] = x, one int per k'
+    # the tie rule: below k = 2^q every split of k ties in row q
+    ties = [(), (), *(firsts[: k // 2] for k in range(2, min(1 << top, kmax + 1)))]
+    rows = [ties[:2]]  # rows[q] is row q; rows[0] is row 1 (M_0 = M_1), filled with it
+    kept = [()] * (kmax // 2 + 1)  # A_0, which row 1 cuts to nothing
+    for q in range(1, top + 1):
+        below, low = rows[q - 1], 1 << (q - 1)
+        row = below if q == 1 else [*below[:low], *ties[low : 1 << q]]
+        for k in range(low, len(row)):  # a tie tuple the row below also holds is its tuple
+            if len(below[k]) == len(row[k]):
+                row[k] = below[k]
+        # kept[r] = A_q(r): [1, r] for r < 2^(q-1), else S + (r - S) + (r,)
+        span = min(kmax - 2 * low, kmax // 2) + 1
+        kept_below = kept  # A_{q-1}
+        kept = [a if len(a) == r else ties[2 * r] for r, a in enumerate(kept[: min(low, span)])]
+        for r in range(low, span):
+            part = kept_below[r - (1 << (r.bit_length() - 1))]  # A_{q-1}(b)
+            part = part[: bisect_left(part, low >> 1)]  # S, below 2^(q-2)
+            a = (*part, *[firsts[r - x - 1] for x in reversed(part)], firsts[r - 1])
+            kept.append(kept_below[r] if len(a) == len(kept_below[r]) else a)
+        for p in range(q, kmax.bit_length()):
+            half = 1 << (p - 1)
+            for r in range(min(2 * half, kmax + 1 - 2 * half)):
+                if q > 1 and kept[r] is kept_below[r]:  # then M_q(k) = M_{q-1}(k)
+                    row.append(below[2 * half + r])
+                else:
+                    shifted = [firsts[half + y - 1] for y in (0, *below[r]) if half + y > r]
+                    row.append((*kept[r], *shifted))
+        rows.append(row)
     # a row past the top is 0 to kmax and ties at every split, as the top
     # row does: it shares the top row's tuples and copies its values
+    ks = [*range(2, kmax + 1)]  # one int per k, shared by the keys of every row
     pairs = zip(range(1, qmax + 1), chain(rows[1:], repeat(rows[top])))
     maximizer_sets = {(q, k): row[k] for q, row in pairs for k in ks}
     values += map(list.copy, repeat(values[top], qmax - top))
     return RecursionTable(qmax=qmax, kmax=kmax, values=values, maximizer_sets=maximizer_sets)
-
-
-def _marked(hits: int, fields: int, size: int) -> tuple[int, ...]:
-    """The ascending k' = i + 1 of every field i whose guard bit is set."""
-    marks = hits.to_bytes(fields * size, "little")
-    found = []
-    at = marks.find(128)  # a guard bit is the top bit of a field's last byte
-    while at >= 0:
-        found.append(at // size + 1)
-        at = marks.find(128, at + size)
-    return tuple(found)
 
 
 def hypercubic_partitions(k: int) -> set[int]:

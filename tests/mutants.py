@@ -109,11 +109,40 @@ MUTANTS = (
             "::test_existence_matches_brute_force_away_from_zero",
         ),
     ),
+    # x = 2^(p-1) + y = r is already A_q(r)'s last entry, r itself
     Mutant(
-        "build_table: guard offset one short, so the maximizers go unmarked",
+        "build_table: a shifted entry kept at r as well as past it",
         "recursion.py",
-        "- tail[k] * ones) & guard",
-        "- (tail[k] + 1) * ones) & guard",
+        "if half + y > r]",
+        "if half + y >= r]",
+        "tests/test_recursion.py",
+        "full_scan or tail_rule or row_one",
+        (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[2-96]",
+            "tests/test_recursion.py::TestMaximizers::test_tail_rule",
+            "tests/test_recursion.py::TestMaximizers::test_row_one_is_hypercubic",
+        ),
+    ),
+    # i = 2^(q-2) - 1 is the first i of weight q - 2, so x = 2^(q-2) fails
+    Mutant(
+        "build_table: S bounded by 2^(q-2) in place of 2^(q-2) - 1",
+        "recursion.py",
+        "bisect_left(part, low >> 1)",
+        "bisect_left(part, (low >> 1) + 1)",
+        "tests/test_recursion.py",
+        "full_scan or tail_rule",
+        (
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
+            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[3-1100]",
+            "tests/test_recursion.py::TestMaximizers::test_tail_rule",
+        ),
+    ),
+    Mutant(
+        "build_table: A_q(r) without the mirror r - S",
+        "recursion.py",
+        "*[firsts[r - x - 1] for x in reversed(part)], ",
+        "",
         "tests/test_recursion.py",
         "full_scan or tail_rule",
         (
@@ -122,48 +151,29 @@ MUTANTS = (
             "tests/test_recursion.py::TestMaximizers::test_tail_rule",
         ),
     ),
-    # The top row's G_last(kmax) bounds every field. A width one byte short
-    # of it leaves 8-bit fields where that sum lies in [2^7, 2^8), and
-    # there a lead or a loss reaches the guard bit: G = 209, 201 and 224 in
-    # the three named tables.
     Mutant(
-        "build_table: fields one byte short of the top row's tail sums",
+        "build_table: shifted entries read row q in place of row q - 1",
         "recursion.py",
-        "size = tail[kmax].bit_length() // 8 + 1",
-        "size = (tail[kmax].bit_length() - 1) // 8 + 1",
+        "for y in (0, *below[r])",
+        "for y in (0, *row[r])",
         "tests/test_recursion.py",
-        "full_scan",
-        (
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[2-96]",
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[3-128]",
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[1-76]",
-        ),
-    ),
-    Mutant(
-        "build_table: a lower row tested against its own tail sums for both terms",
-        "recursion.py",
-        "if b[a] + t[k - a] == target",
-        "if t[a] + t[k - a] == target",
-        "tests/test_recursion.py",
-        "full_scan or filtered_rows",
+        "full_scan or tail_rule",
         (
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-600]",
-            "tests/test_recursion.py::TestMaximizers::test_filtered_rows_match_packed_rows",
+            "tests/test_recursion.py::TestMaximizers::test_tail_rule",
         ),
     ),
+    # every table stays exact; only the shared tuples go, and with them
+    # the counterexample scan's reuse of one excess per distinct tuple
     Mutant(
-        "build_table: tail sums count one threshold too many",
+        "build_table: A_q(r) equal to A_{q-1}(r) built anew",
         "recursion.py",
-        "max(0, w - q + 1)",
-        "max(0, w - q + 2)",
+        "kept.append(kept_below[r] if len(a) == len(kept_below[r]) else a)",
+        "kept.append(a)",
         "tests/test_recursion.py",
-        "full_scan",
-        (
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[4-48]",
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[12-300]",
-        ),
+        "equal_tuples_are_shared",
+        ("tests/test_recursion.py::TestMaximizers::test_equal_tuples_are_shared",),
     ),
     Mutant(
         "build_table: rows past the weight bound start one row early",
@@ -176,35 +186,6 @@ MUTANTS = (
             "tests/test_recursion.py::TestBuildTable::test_copied_all_tie_rows",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[16-40]",
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[12-300]",
-        ),
-    ),
-    # k = 2^top is the first k whose splits do not all tie in the top row
-    Mutant(
-        "build_table: tie prefix one k too long",
-        "recursion.py",
-        "start = 1 << top",
-        "start = (1 << top) + 1",
-        "tests/test_recursion.py",
-        "full_scan or first_k_past",
-        (
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-256]",
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-64]",
-            "tests/test_recursion.py::TestMaximizers::test_first_k_past_the_ties",
-        ),
-    ),
-    # k = 2^q is the first k that row q filters, and it keeps one split of
-    # the row above's all-tie tuple
-    Mutant(
-        "build_table: lower row starts one k late",
-        "recursion.py",
-        "ks[(1 << q) - 2 :]",
-        "ks[(1 << q) - 1 :]",
-        "tests/test_recursion.py",
-        "full_scan or first_k_past",
-        (
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[6-98]",
-            "tests/test_recursion.py::TestBuildTable::test_matches_full_scan[8-600]",
-            "tests/test_recursion.py::TestMaximizers::test_first_k_past_the_ties",
         ),
     ),
     Mutant(

@@ -1,6 +1,8 @@
 """Tests for the max-recursion table, maximizers, and hypercubic partitions."""
 
+import functools
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,24 +64,16 @@ class TestBuildTable:
             for k in range(2, 65):
                 assert table.maximizer_sets[(q, k)]
 
-    # build_table takes the top row's maximizers from the guard bits of its
-    # packed tail-sum test, in fields whose width is fixed from that row's
-    # own G_last(kmax) = sum over i < kmax of max(0, h(i) - last + 1), and
-    # keeps each lower row's from the row above. G_2(96) = 209,
-    # G_3(128) = 201 and G_1(76) = 224 lie in [2^7, 2^8), so these tables
-    # need 16-bit fields: in 8-bit ones a lead or a loss reaches the guard
-    # bit. (4, 48) and (6, 86) pack their top rows in 8-bit fields
-    # (G = 13 and 1), though their G_1 = 128 and 259 would need 16 bits;
-    # (3, 1100) and (3, 2560) pack G_3 = 3233 and 8974 in 16-bit fields,
-    # and (8, 600) G_8 = 11 in 8-bit ones. (6, 98) holds the small k of
-    # every row; (3, 1100) holds k = 2^m - 1, 2^m, 2^m + 1 for m = 9 and
-    # m = 10; every split of the rows q >= 9 of (12, 300) ties, and
-    # (3, 1) .. (3, 3) score at most one split per k.
-    # Below k = 2^q every split of k ties in row q (the tie rule). Row
-    # b = kmax.bit_length() is the first whose every k lies below 2^q: row
-    # 9 of (12, 300), 6 of (16, 40) and 7 of (30, 100). It is the top row,
-    # runs no packed comparison, and every row after it shares its tuples.
-    # The top rows of (8, 256) and (6, 64) test only k = 2^top.
+    # build_table reads each maximizer set off the split of k = 2^p + r,
+    # row by row from q = 1 (module docstring). (6, 98) holds the small k
+    # of every row; (3, 1100) holds k = 2^m - 1, 2^m, 2^m + 1 for m = 9
+    # and m = 10, and (3, 128), (8, 256) and (6, 64) end at k = 2^m, where
+    # r = 0 and the only shifted entry is 2^(m-1); (2, 96) ends at
+    # r = 2^(p-1), where the shifted {0} drops. (3, 1) .. (3, 3) score at
+    # most one split per k. Below k = 2^q every split of k ties in row q
+    # (the tie rule). Row b = kmax.bit_length() is the first whose every k
+    # lies below 2^q: row 9 of (12, 300), 6 of (16, 40) and 7 of (30, 100).
+    # It is the top row, and every row after it shares its tuples.
     @pytest.mark.parametrize(
         "qmax,kmax",
         [
@@ -195,8 +189,41 @@ class TestMaximizers:
     # The tail rule (module docstring of cubeseg.recursion), evaluated
     # without the recursion, against the exact sets of the table.
     def test_tail_rule(self):
-        expected = oracles.tail_rule_maximizer_sets(8, 1024)
-        assert build_table(8, 1024).maximizer_sets == expected
+        expected = oracles.tail_rule_maximizer_sets(8, 2048)
+        assert build_table(8, 2048).maximizer_sets == expected
+
+    # The split by the top bit (module docstring), from the tail rule's
+    # sets alone: for k = 2^p + r >= 2^q, M_q(k) is A_q(r) and then
+    # 2^(p-1) + y for y in {0} + M_{q-1}(r) past r, with M_0 = M_1, where
+    # A_q(r) holds the x in [1, r] that pass row q - 1's tail-sum test on
+    # r. A_q(r) is in turn [1, r] for r < 2^(q-1), and S + (r - S) + {r}
+    # past it, for r = 2^a + b and S the x < 2^(q-2) of A_{q-1}(b).
+    def test_split_by_the_top_bit(self):
+        qmax, kmax = 10, 1024
+        sets = oracles.tail_rule_maximizer_sets(qmax, kmax)
+        h = [oracles.popcount(i) for i in range(kmax)]
+        # tails[q][x] = G_q(x) = sum over i < x of max(0, h(i) - q + 1)
+        tails = [[0, *accumulate(max(0, w - q + 1) for w in h)] for q in range(qmax)]
+
+        @functools.cache
+        def passing(q, r):  # A_q(r), from its definition
+            G = tails[q - 1]
+            return tuple(x for x in range(1, r + 1) if G[x] + G[r - x] == G[r])
+
+        for q in range(1, qmax + 1):
+            for r in range(kmax // 2 + 1):
+                if r < 2 ** (q - 1):
+                    assert passing(q, r) == tuple(range(1, r + 1)), (q, r)
+                else:
+                    b = r - 2 ** (r.bit_length() - 1)
+                    S = tuple(x for x in passing(q - 1, b) if x < 2 ** (q - 2)) if q > 2 else ()
+                    assert passing(q, r) == (*S, *(r - x for x in reversed(S)), r), (q, r)
+            for k in range(2**q, kmax + 1):
+                p = k.bit_length() - 1
+                r, half = k - 2**p, 2 ** (p - 1)
+                below = sets[(max(q - 1, 1), r)] if r >= 2 else ()
+                shifted = tuple(half + y for y in (0, *below) if half + y > r)
+                assert sets[(q, k)] == passing(q, r) + shifted, (q, k)
 
     # A maximizer of row q - 1 is one of row q: its T(t) is 0 for every
     # t >= q - 1, so for every t >= q (module docstring).
@@ -206,23 +233,31 @@ class TestMaximizers:
             for k in range(2, 1025):
                 assert set(sets[(q - 1, k)]) <= set(sets[(q, k)])
 
-    # Every row q below the top keeps the maximizers of the row above that
-    # pass its own test, three lookups per split, from k = 2^q on, and the
-    # tie tuples below it; as the top row of the table to qmax = q, the
-    # same row comes from the tie rule and the packed test. Checked for
-    # every q < qmax <= 8 with qmax <= kmax.bit_length(), kmax <= 300, and
-    # at (6, 1024).
-    def test_filtered_rows_match_packed_rows(self):
+    # Row q is built from the rows below it alone, so the table to any
+    # qmax >= q holds the same row q, values and tuples, as the table to
+    # qmax = q, whose top row it is. Checked for every q < qmax <= 8 with
+    # qmax <= kmax.bit_length(), kmax <= 300, and at (6, 1024).
+    def test_rows_do_not_depend_on_qmax(self):
         for kmax in [*range(2, 301), 1024]:
             top = min(6 if kmax == 1024 else 8, kmax.bit_length())
             tables = [build_table(q, kmax) for q in range(top + 1)]
             for built in tables[2:]:
                 for q in range(1, built.qmax):
-                    packed = tables[q]
-                    assert built.values[q] == packed.values[q]
+                    alone = tables[q]
+                    assert built.values[q] == alone.values[q]
                     assert [built.maximizer_sets[(q, k)] for k in range(2, kmax + 1)] == [
-                        packed.maximizer_sets[(q, k)] for k in range(2, kmax + 1)
+                        alone.maximizer_sets[(q, k)] for k in range(2, kmax + 1)
                     ], (built.qmax, q, kmax)
+
+    # A tuple equal to the row below's at the same k is that tuple (module
+    # docstring), so the counterexample scan computes one excess per
+    # distinct tuple of each k; rows past the top share the top row's.
+    def test_equal_tuples_are_shared(self):
+        sets = build_table(14, 2048).maximizer_sets
+        for q in range(2, 15):
+            for k in range(2, 2049):
+                here, below = sets[(q, k)], sets[(q - 1, k)]
+                assert (here is below) == (here == below), (q, k)
 
     # The tie rule: below k = 2^q no i < k has weight q, so G_q(k) = 0 and
     # every split of k ties, in the top row (q = 10) and in every row below
@@ -234,19 +269,18 @@ class TestMaximizers:
 
     # At k = 2^q only i = 2^q - 1 has weight q, so G_q(2^q) = 1, and only
     # k' = 2^(q-1) has G_{q-1}(k') = 1 with G_q(2^q - k') = 0: the first k
-    # the top row tests and the first k each lower row filters
+    # past the ties, where r = 0, A_q(0) is empty and only y = 0 shifts
     def test_first_k_past_the_ties(self):
         sets = build_table(10, 1024).maximizer_sets
         for q in range(1, 11):
             assert sets[(q, 2**q)] == (2 ** (q - 1),), q
 
     # For q = 1 the maximizers are exactly the hypercubic splits, checked
-    # without the recursion. Row 1 is kept from row 2, the packed row, and
-    # G_2(6361) = 32770 is past 2^15, so its fields are 24 bits wide, one
-    # byte more than at kmax = 6360.
+    # without the recursion, up to the split bound: row 1 reads only
+    # itself, A_1(r) = {r} and M_0 = M_1 (module docstring).
     def test_row_one_is_hypercubic(self):
-        sets = build_table(2, 6361).maximizer_sets
-        for k in range(2, 6362):
+        sets = build_table(1, 16384).maximizer_sets
+        for k in range(2, 16385):
             assert sets[(1, k)] == tuple(sorted(hypercubic_partitions(k)))
 
 
