@@ -171,11 +171,13 @@ def _cmd_fq(ns) -> _Report:
     if ns.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {ns.kmax}")
     table = recursion.build_table(ns.q, ns.kmax)
-    rows = []
-    for k in range(1, ns.kmax + 1):
-        maxi = table.maximizer_sets[(ns.q, k)] if ns.q >= 1 and k >= 2 else []
-        hyper = sorted(recursion.hypercubic_partitions(k)) if k >= 2 else []
-        rows.append([ns.q, k, table.values[ns.q][k], maxi, hyper])
+    sets, values = table.maximizer_sets, table.values[ns.q]
+    rows = [[ns.q, 1, values[1], [], []]]
+    for k in range(2, ns.kmax + 1):
+        if ns.q >= 1:  # row 1 is the hypercubic row (recursion module docstring)
+            rows.append([ns.q, k, values[k], sets[(ns.q, k)], sets[(1, k)]])
+        else:  # no row 1 to read, and one would bring q = 0 under the split bound
+            rows.append([0, k, values[k], [], sorted(recursion.hypercubic_partitions(k))])
     return _table(["q", "k", "F", "maximizers", "hypercubic"], rows)
 
 

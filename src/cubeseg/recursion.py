@@ -107,7 +107,11 @@ A_q(r) = A_{q-1}(r).
 Independently of the recursion, a split (k-k1, k1) of k is *hypercubic*
 when k1 counts the members of {0, ..., k-1} having some fixed bit set;
 every hypercubic k1 is a maximizer, and for q = 1 the two sets coincide
-exactly, while for larger q the reverse inclusion can fail.
+exactly, while for larger q the reverse inclusion can fail. So the
+counterexample scan and ``cubeseg fq`` read the hypercubic sizes of k off
+row 1 of the table they build; ``hypercubic_partitions`` counts them
+from the bits of k alone, for ``cubeseg hypercubic``, for a table to
+q = 0, which has no row 1, and for the tests.
 """
 
 from __future__ import annotations
@@ -206,8 +210,12 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
             f" {cells} values, past the bounds of {_MAX_SPLITS} and {_MAX_CELLS}"
         )
     weights = [i.bit_count() for i in range(kmax)]
-    top = min(qmax, kmax.bit_length())
-    values = [[0, *accumulate(comb(w, q) for w in weights)] for q in range(top + 1)]
+    bits = kmax.bit_length()  # every i < kmax has h(i) < bits
+    top = min(qmax, bits)
+    values = [
+        [0, *accumulate(map([comb(w, q) for w in range(bits)].__getitem__, weights))]
+        for q in range(top + 1)
+    ]
     firsts = tuple(range(1, kmax // 2 + 1))  # firsts[x - 1] = x, one int per k'
     # the tie rule: below k = 2^q every split of k ties in row q
     ties = [(), (), *(firsts[: k // 2] for k in range(2, min(1 << top, kmax + 1)))]
@@ -225,10 +233,14 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
         kept = [a if len(a) == r else ties[2 * r] for r, a in enumerate(kept[: min(low, span)])]
         for r in range(low, span):
             part = kept_below[r - (1 << (r.bit_length() - 1))]  # A_{q-1}(b)
-            part = part[: bisect_left(part, low >> 1)]  # S, below 2^(q-2)
-            a = (*part, *[firsts[r - x - 1] for x in reversed(part)], firsts[r - 1])
-            kept.append(kept_below[r] if len(a) == len(kept_below[r]) else a)
-        for p in range(q, kmax.bit_length()):
+            s = bisect_left(part, low >> 1)  # |S|, S below 2^(q-2)
+            # A_q(r) holds A_{q-1}(r) and has 2|S| + 1 ints: equal lengths, equal sets
+            if 2 * s + 1 == len(kept_below[r]):
+                kept.append(kept_below[r])
+            else:
+                part = part[:s]
+                kept.append((*part, *[firsts[r - x - 1] for x in reversed(part)], firsts[r - 1]))
+        for p in range(q, bits):
             half = 1 << (p - 1)
             for r in range(min(2 * half, kmax + 1 - 2 * half)):
                 if q > 1 and kept[r] is kept_below[r]:  # then M_q(k) = M_{q-1}(k)
@@ -270,10 +282,13 @@ def find_onlyif_counterexamples(qmax: int, kmax: int) -> list[OnlyIfCounterexamp
     """Scan for (q, k) whose maximizers are not all hypercubic.
 
     Results are ordered by (q, k); each record lists the maximizing k'
-    values that no bit position witnesses. Raises ``ValueError`` for a
-    table past the bounds of ``build_table``, before building it, and,
-    during the scan, as soon as the records would list more than
-    ``_MAX_LISTED`` maximizers.
+    values that no bit position witnesses. The scan reads each k's
+    hypercubic sizes off row 1 of the table, which is exactly the
+    hypercubic row (module docstring) and so lists nothing; every row
+    q >= 2 holds row 1, and its record lists what it adds. Raises
+    ``ValueError`` for a table past the bounds of ``build_table``, before
+    building it, and, during the scan, as soon as the records would list
+    more than ``_MAX_LISTED`` maximizers.
     """
     if qmax < 1:
         raise ValueError(f"qmax must be >= 1, got {qmax}")
@@ -283,11 +298,14 @@ def find_onlyif_counterexamples(qmax: int, kmax: int) -> list[OnlyIfCounterexamp
     found: list[list[OnlyIfCounterexample]] = [[] for _ in range(qmax + 1)]  # by q
     listed = 0
     for k in range(2, kmax + 1):
-        hypercubic = hypercubic_partitions(k).__contains__
-        last = None
-        for q in range(1, qmax + 1):
-            # a row that drops no split shares the row above's tuple, and its excess
+        # row 1 is the hypercubic row, and has no excess
+        last = hyper = sets[(1, k)]
+        hypercubic, excess = None, ()
+        for q in range(2, qmax + 1):
+            # a row that adds no split shares the row below's tuple, and its excess
             if (maxi := sets[(q, k)]) is not last:
+                if hypercubic is None:
+                    hypercubic = frozenset(hyper).__contains__
                 # the maximizer tuple is ascending, and so is what it keeps
                 last, excess = maxi, tuple(filterfalse(hypercubic, maxi))
             if excess:

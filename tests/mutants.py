@@ -169,8 +169,8 @@ MUTANTS = (
     Mutant(
         "build_table: A_q(r) equal to A_{q-1}(r) built anew",
         "recursion.py",
-        "kept.append(kept_below[r] if len(a) == len(kept_below[r]) else a)",
-        "kept.append(a)",
+        "if 2 * s + 1 == len(kept_below[r]):",
+        "if False:",
         "tests/test_recursion.py",
         "equal_tuples_are_shared",
         ("tests/test_recursion.py::TestMaximizers::test_equal_tuples_are_shared",),
@@ -178,8 +178,8 @@ MUTANTS = (
     Mutant(
         "build_table: rows past the weight bound start one row early",
         "recursion.py",
-        "top = min(qmax, kmax.bit_length())",
-        "top = min(qmax, kmax.bit_length() - 1)",
+        "top = min(qmax, bits)",
+        "top = min(qmax, bits - 1)",
         "tests/test_recursion.py",
         "full_scan or copied_all_tie_rows",
         (
@@ -191,8 +191,8 @@ MUTANTS = (
     Mutant(
         "build_table: closed-form row counts one weight too many",
         "recursion.py",
-        "comb(w, q) for w in weights",
-        "comb(w + 1, q) for w in weights",
+        "comb(w, q) for w in range(bits)",
+        "comb(w + 1, q) for w in range(bits)",
         "tests/test_recursion.py",
         "full_scan",
         (
@@ -201,18 +201,31 @@ MUTANTS = (
             "tests/test_recursion.py::TestBuildTable::test_matches_full_scan_on_random_shapes",
         ),
     ),
-    # Row 1's maximizers are all hypercubic, so an excess kept from q = 1
-    # for every q of a k lists nothing
+    # The excess of the first row past row 1 with a tuple of its own, kept
+    # for every later q of that k, misses what the rows above add
     Mutant(
         "counterexamples: excess reused by k alone",
         "recursion.py",
         "if (maxi := sets[(q, k)]) is not last:",
-        "if (maxi := sets[(q, k)]) is not last and last is None:",
+        "if (maxi := sets[(q, k)]) is not last and hypercubic is None:",
         "tests/test_recursion.py",
         "TestOnlyIfCounterexamples or largest_counterexample",
         (
             "tests/test_recursion.py::TestOnlyIfCounterexamples"
-            "::test_expected_witness_at_small_scale",
+            "::test_records_match_a_scan_of_every_pair",
+            "tests/test_recursion.py::TestTableBounds::test_largest_counterexample_report_listed",
+        ),
+    ),
+    # Row q - 1 holds row 1, so the excess loses the maximizers that row
+    # q - 1 already had, whenever q - 1 > 1
+    Mutant(
+        "counterexamples: filtered against row q - 1, not row 1",
+        "recursion.py",
+        "if hypercubic is None:\n                    hypercubic = frozenset(hyper).__contains__",
+        "if True:\n                    hypercubic = frozenset(sets[(q - 1, k)]).__contains__",
+        "tests/test_recursion.py",
+        "TestOnlyIfCounterexamples or largest_counterexample",
+        (
             "tests/test_recursion.py::TestOnlyIfCounterexamples"
             "::test_records_match_a_scan_of_every_pair",
             "tests/test_recursion.py::TestTableBounds::test_largest_counterexample_report_listed",
@@ -427,6 +440,19 @@ MUTANTS = (
         "tests/test_package.py",
         "all_joins_the_modules",
         ("tests/test_package.py::TestSurface::test_all_joins_the_modules",),
+    ),
+    # Row q of a q >= 2 table holds the hypercubic sizes and more
+    Mutant(
+        "fq: hypercubic column read off row q, not row 1",
+        "cli.py",
+        "sets[(1, k)]",
+        "sets[(ns.q, k)]",
+        "tests/test_cli.py",
+        "hypercubic_column",
+        (
+            "tests/test_cli.py::TestFq::test_hypercubic_column_counts_each_bit[3]",
+            "tests/test_cli.py::TestFq::test_hypercubic_column_counts_each_bit[12]",
+        ),
     ),
     Mutant(
         "an empty --emit-set path is skipped",

@@ -11,6 +11,8 @@ from hypothesis import event, given, settings, strategies as st
 from cubeseg.cli import run
 from cubeseg.cube import initial_segment, load_vertex_set
 
+import oracles
+
 
 def invoke(capsys, argv):
     rc = run(argv)
@@ -39,6 +41,26 @@ class TestFq:
         rows = json.loads(out)
         assert [r["F"] for r in rows] == [1, 2, 3]
         assert all(r["maximizers"] == [] for r in rows)
+
+    # The hypercubic column is read off row 1 of the table for q >= 1 and
+    # computed per k for q = 0, which builds no row 1; q = 12 is past the
+    # top row of kmax = 300. Checked against the direct count of each bit.
+    @pytest.mark.parametrize("q", [0, 1, 3, 12])
+    def test_hypercubic_column_counts_each_bit(self, capsys, q):
+        rc, out, _ = invoke(capsys, ["fq", "--q", str(q), "--kmax", "300", "--output", "json"])
+        assert rc == 0
+        rows = json.loads(out)
+        assert [r["k"] for r in rows] == list(range(1, 301))
+        assert rows[0]["hypercubic"] == []
+        for r in rows[1:]:
+            assert r["hypercubic"] == sorted(oracles.hypercubic_sizes(r["k"])), (q, r["k"])
+
+    # 16385 is the first kmax whose table with a row 1 is past the split
+    # bound; fq --q 0 builds no row 1, so it still answers
+    def test_q_zero_past_the_row_one_bound(self, capsys):
+        rc, out, err = invoke(capsys, ["fq", "--q", "0", "--kmax", "16385", "--output", "csv"])
+        assert rc == 0 and err == ""
+        assert out.splitlines()[-1] == "0,16385,16385,,1|8192"
 
     def test_bad_kmax(self, capsys):
         rc, out, err = invoke(capsys, ["fq", "--q", "1", "--kmax", "0"])
