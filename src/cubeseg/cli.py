@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Report:
-    json_obj: object
+    json_obj: object  # or a function that builds it, called only for json
     csv_rows: list  # header first
     plain_rows: list
 
@@ -61,14 +61,16 @@ def _lines(rows: list, sep: str, empty: str) -> str:
 
 
 def _table(header: list, rows: list) -> _Report:
-    """A header-plus-rows report: json row objects, one line per row."""
+    """A header-plus-rows report: json row objects, built only for json,
+    and one line per row."""
     lines = [header] + rows
-    return _Report([dict(zip(header, row)) for row in rows], lines, lines)
+    return _Report(lambda: [dict(zip(header, row)) for row in rows], lines, lines)
 
 
 def _render(report: _Report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.json_obj, indent=2) + "\n"
+        obj = report.json_obj
+        return json.dumps(obj() if callable(obj) else obj, indent=2) + "\n"
     if fmt == "csv":
         return _lines(report.csv_rows, ",", "")
     return _lines(report.plain_rows, " ", "-")

@@ -12,8 +12,11 @@ that makes the last pick scores it over its whole range in one loop.
 
 The one walk runs in one of two directions, chosen from (n, k) alone:
 upward it picks the k kept vertices of S from the empty set, downward
-the r = 2^n - k removed vertices of T from the whole cube, whichever
-recurses fewer calls deep (upward at k = 2^(n-1), where they tie).
+the r = 2^n - k removed vertices of T from the whole cube. It runs
+downward from 4k >= 3 * 2^n on (``_downward``): only the upward walk
+takes the split ceiling below, which decides the middle sizes many times
+faster than the downward walk, and past three quarters of the cube the
+shallower downward walk is the faster one.
 Picking a vertex v flips its bit in the set's indicator. Upward this adds
 the q-subcubes of the new prefix whose highest vertex is v, the
 per-vertex reading of the paper's sum over i < k of C(h(i), q).
@@ -66,6 +69,27 @@ those of the full scan.
   C(n - h(v), q) whose lowest vertex v is; below that, v's masks in the
   same table find them. Once the universe's ceiling falls short, every
   later sibling is cut with it.
+- Upward there is a third, the split ceiling of the paper's second proof
+  [BR1990]. Split a set S along its top coordinate into the low half L
+  and the top half H, each read as a set of the (n-1)-cube. A q-subcube
+  of S lies in L, lies in H, or crosses the split as a (q-1)-subcube of
+  L & H doubled, so m_q(S) = m_q(L) + m_q(H) + m_{q-1}(L & H). At a
+  level whose prefix P is nonempty and lies below 2^(n-1), every set in
+  the subtrees of its pick 2^(n-1) and of that pick's later siblings has
+  L = P, whose m_q is the level's count, and a top half of the ``left``
+  picks still to come. With M_{n-1}(j, r) the most r-subcubes a j-set
+  of the (n-1)-cube holds, m_q(H) <= M_{n-1}(left, q), and L & H has at
+  most min(left, k - left) members; M grows with j, since a vertex added
+  to a set takes no subcube away, so m_{q-1}(L & H) <= M_{n-1}(min(left,
+  k - left), q - 1). When the sum of the three is below the bar, the
+  level returns and counts the C(2^(n-1), left) sets it skips as
+  scanned. Before the last pick the test is made once, as the level
+  begins. Each M_{n-1} is the maximum of the oracle's own scan of the
+  (n-1)-cube at cap 0, made at its first use and kept for one
+  ``brute_force_mq`` call (``_top_half``): the [G1970] step that closes
+  the paper's induction is replaced by computation. A fixed floor
+  (``_SPLIT_DIM``, ``_SPLIT_SCAN``) keeps sparse scans of larger cubes and
+  tiny scans off it, where the sub-scans would cost more than they cut.
 
 Once the argmax list is full, the walk also cuts by symmetry. m_q is
 invariant under the 2^n * n! automorphisms of the cube, the XOR
@@ -88,7 +112,10 @@ set, so S could neither raise the maximum nor enter the list. A last
 pick is scored all the same: cutting it would save one set's masks.
 
 The ceilings and the symmetry cut hold for every set, so no result
-depends on the theorem under test. The theorem only makes the cut deep:
+depends on the theorem under test. The split ceiling reads no formula
+either: its M_{n-1} are maxima of exhaustive scans, which rest on the
+same ceilings one dimension down, and ``prefix_hq`` is read only for
+``matches_formula``. The theorem only makes the cut deep:
 the first set in scan order is the initial segment, so the best count is
 final after one leaf, and the C(32, 16) sets of (5, 16, 4) are decided
 in a fraction of a second.
@@ -118,8 +145,10 @@ DEFAULT_BUDGET = 20_000_000
 DEFAULT_ARGMAX_CAP = 4
 
 # Largest scan started whatever the budget. The walk recurses once per
-# member it picks, and C(2^n, k) >= 2^depth for every n <= 20, so no scan
-# of at most 2^64 subsets nests more than 31 calls (n = 6, k = 32).
+# member it picks, k - 1 calls deep upward, where 4k < 3 * 2^n, and
+# 2^n - k - 1 downward; within 2^64 subsets that is at most 46 calls
+# (n = 6, k = 47), and with the split ceiling's sub-scans of smaller
+# cubes under 70.
 _MAX_SCAN = 1 << 64
 
 
@@ -170,11 +199,14 @@ def brute_force_mq(
 
     Decides all C(2^n, k) subsets in lexicographic order of their sorted
     member sequences, so results (including the capped argmax list) are
-    deterministic. When 2k > 2^n + 1 the scan picks the 2^n - k removed
-    vertices in reverse lexicographic order instead, which is the same
-    order of the sets (see the module docstring); the direction depends
-    on (n, k) alone, and the walk recurses over the prefix tree, one call
-    per picked member: k - 1 calls deep upward, 2^n - k - 1 downward.
+    deterministic. From 4k >= 3 * 2^n on the scan picks the 2^n - k
+    removed vertices in reverse lexicographic order instead, which is the
+    same order of the sets (see the module docstring); the direction
+    depends on (n, k) alone, and the walk recurses over the prefix tree,
+    one call per picked member: k - 1 calls deep upward, 2^n - k - 1
+    downward. The switch sits where the split ceiling stops paying: below
+    it every size that ceiling cuts runs upward, and the near-full scans
+    of large cubes, such as ``(16, 2^16 - 1, q)``, stay downward.
 
     Each picked vertex is scored by testing the set against the sorted
     masks of the subcubes through it, from the one table the scan fills
@@ -190,6 +222,16 @@ def brute_force_mq(
     maximum nor enter the list, and the result is the full scan's. Cut
     sets count as scanned: ``total_subsets_scanned`` is C(2^n, k).
 
+    Upward scans of cubes up to dimension 6 with at least 2000 sets also
+    take the [BR1990] split ceiling at the top coordinate, bounded by the
+    maxima of the (n-1)-cube, which the oracle finds by scanning that cube
+    itself at cap 0. Those sub-scans are not charged to ``budget``. By
+    Vandermonde, C(2^(n-1), j) <= C(2^(n-1), j) * C(2^(n-1), k - j) <=
+    C(2^n, k) for the j <= k they ask about, so each decides at most as
+    many sets as the scan that asks; each (j, q') is scanned once per
+    call, at most 2k of them per dimension, and the sub-scans of the
+    4-cube that a 5-cube scan asks for take milliseconds.
+
     Once ``argmax_cap`` sets are listed, a first or second pick that is
     not the last and starts no set least in its orbit under the cube's
     translations and coordinate permutations is cut with its subtree:
@@ -201,8 +243,9 @@ def brute_force_mq(
 
     Raises BudgetExceeded before any work if C(2^n, k) exceeds the budget
     or 2^64, whatever the budget, without computing a binomial past
-    min(k, 2^n - k) = 64; within 2^64 subsets the recursion is at most 31
-    calls deep (n = 6, k = 32), far below the interpreter's limit.
+    min(k, 2^n - k) = 64; within 2^64 subsets the recursion is at most 46
+    calls deep (n = 6, k = 47), under 70 with the sub-scans, far below the
+    interpreter's limit.
     """
     _check_dim(n)  # before 1 << n, which a huge n would make unaffordable
     _check_k(k, n)
@@ -219,7 +262,7 @@ def brute_force_mq(
     if required > bound:
         raise BudgetExceeded(required, bound)
 
-    best, examples, scanned = _walk(n, k, q, argmax_cap, down=2 * k > size + 1)
+    best, examples, scanned = _walk(n, k, q, argmax_cap, _downward(n, k), {})
     formula = prefix_hq(k, q)
     return OracleResult(
         n=n,
@@ -232,10 +275,18 @@ def brute_force_mq(
     )
 
 
+def _downward(n: int, k: int) -> bool:
+    """Whether the scan of the k-subsets of the n-cube picks the removed
+    vertices: from 4k >= 3 * 2^n on, so the sizes the split ceiling cuts
+    run upward."""
+    return 4 * k >= 3 << n
+
+
 def _walk(
-    n: int, k: int, q: int, cap: int, down: bool
+    n: int, k: int, q: int, cap: int, down: bool, maxima: dict[tuple[int, int, int], int]
 ) -> tuple[int, list[VertexSet], int]:
     size = 1 << n
+    half = size >> 1
     ones = (1 << size) - 1
     per_vertex = comb(n, q)
     whole = per_vertex << n - q
@@ -258,6 +309,10 @@ def _walk(
     # universe (see the module docstring), unless the count ceiling is
     # exact already: at q = 0, or when no pick is scored
     track = not down and q > 0 and top > 0 and picks >= _TRACKED
+    # upward, past the floor, a level whose prefix lies below 2^(n-1)
+    # takes the split ceiling at its pick 2^(n-1), unless the count
+    # ceiling is exact already, as for the universe
+    split = not down and q > 0 and top > 0 and n <= _SPLIT_DIM and comb(size, k) >= _SPLIT_SCAN
     best = -1
     # the least count a set needs to change the result: best while the
     # argmax list has room, best + 1 once it holds cap sets
@@ -278,7 +333,18 @@ def _walk(
         else:
             lift = min(left - 1, top) * reach
             shrink = track and left >= _TRACKED
-        for v in range(size - left, start - 1, -1) if down else range(start, size - left + 1):
+        stop, cut = size - left + 1, -1
+        if split and bits and start <= half < stop:
+            # a nonempty prefix below 2^(n-1) is the low half of every set
+            # in the subtrees of 2^(n-1) and its later siblings. The split
+            # ceiling is tested at that pick, or, at a last pick, once as
+            # the level begins, so that its loop pays no test per pick;
+            # those sets are counted in scanned already
+            if left > 1:
+                cut = half
+            elif count + _top_half(n, k, q, 1, maxima) < bar:
+                stop = half
+        for v in range(size - left, start - 1, -1) if down else range(start, stop):
             total = count
             if scored:
                 for m in kept[v] or masks(v):
@@ -286,7 +352,20 @@ def _walk(
                         total += step
                     elif m > bits:
                         break
-            if left > 1:
+            if left == 1:
+                if total >= bar:
+                    if total > best:
+                        best = total
+                        examples = []
+                    if len(examples) < cap:
+                        examples.append(VertexSet.from_bits(n, bits ^ 1 << v))
+                    bar = best + (len(examples) >= cap)
+            else:
+                if v == cut and count + _top_half(n, k, q, left, maxima) < bar:
+                    # the split ceiling: the subtrees of v and its later
+                    # siblings
+                    scanned += comb(size - v, left)
+                    return
                 # cut the subtree of v when its ceiling falls short, or,
                 # past a full list, when v starts no orbit's least set
                 if (
@@ -311,16 +390,29 @@ def _walk(
                         # and so do the later siblings' subtrees
                         scanned += comb(size - v - 1, left)
                         return
-            elif total >= bar:
-                if total > best:
-                    best = total
-                    examples = []
-                if len(examples) < cap:
-                    examples.append(VertexSet.from_bits(n, bits ^ 1 << v))
-                bar = best + (len(examples) >= cap)
 
     pick(root, count, 0, picks, whole)
     return best, examples, scanned
+
+
+def _top_half(n: int, k: int, q: int, left: int, maxima: dict[tuple[int, int, int], int]) -> int:
+    """The most q-subcubes that ``left`` vertices of the top half of the
+    n-cube add to a k-set whose other members lie in the low half:
+    M_{n-1}(left, q) + M_{n-1}(min(left, k - left), q - 1), the top half's
+    own and those across the split (see the module docstring).
+
+    M_{n-1}(j, r), the most r-subcubes a j-set of the (n-1)-cube holds, is
+    the maximum of the oracle's own scan of that cube at cap 0, made at its
+    first use and kept in ``maxima`` under (n - 1, j, r).
+    """
+    total = 0
+    for j, r in ((left, q), (min(left, k - left), q - 1)):
+        if r < n:  # an (n-1)-cube holds no n-subcube
+            key = (n - 1, j, r)
+            if key not in maxima:
+                maxima[key] = _walk(n - 1, j, r, 0, _downward(n - 1, j), maxima)[0]
+            total += maxima[key]
+    return total
 
 
 def _leads(v: int, prior: int, down: bool) -> bool:
@@ -344,6 +436,16 @@ def _leads(v: int, prior: int, down: bool) -> bool:
 # left made (3, 3, 1) ~40% and (5, 3, 1) ~20% slower than tracking from
 # 3, and the whole sweep of n <= 4 and the n = 5 slices no faster.
 _TRACKED = 3
+
+# The floor of the split ceiling: an upward scan takes it only in cubes of
+# dimension at most _SPLIT_DIM and with at least _SPLIT_SCAN sets. Past the
+# dimension the sparse scans' sub-scans can cost more than the regions
+# they cut: with them (10, 3, 1) took 1.3x and (7, 3, 1) 1.4x as long.
+# Below the size a scan is over before its sub-scans pay: with no size
+# floor the n <= 4 sweep and the n = 5 slices took 1.4x as long as with
+# this one, and with 10,000 1.25x.
+_SPLIT_DIM = 6
+_SPLIT_SCAN = 2000
 
 # Bytes of mask lists and shapes one scan keeps; past it, a vertex's
 # masks are built again at each use. The removed pairs of the 12-cube at

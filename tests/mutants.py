@@ -252,13 +252,13 @@ MUTANTS = (
     Mutant(
         "upward walk: a prefix member never reaches its last value",
         "oracle.py",
-        "range(start, size - left + 1)",
-        "range(start, size - left)",
+        "stop, cut = size - left + 1, -1",
+        "stop, cut = size - left, -1",
         "tests/test_oracle.py",
         "walks_agree or independent_reference",
         (
-            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
-            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-8-3]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-11]",
+            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-11-4]",
             "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[5-3-2]",
         ),
     ),
@@ -270,9 +270,9 @@ MUTANTS = (
         "tests/test_oracle.py",
         "walks_agree or independent_reference",
         (
-            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-9]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-12]",
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[5-30]",
-            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-9-3]",
+            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-12-3]",
         ),
     ),
     # Masks leave out the vertex they are scored at, so a count taken after
@@ -352,7 +352,7 @@ MUTANTS = (
     # The first two cuts drop what a full scan keeps or counts. A looser
     # ceiling changes no result, only the time a scan takes, so only a
     # deadline sees the third: with a universe that barely shrinks, the
-    # deep-cut test's 601 M sets run past its 5 s.
+    # 601 M sets of the deep-cut test at cap 4 run past its 5 s.
     Mutant(
         "walk: ties cut before the argmax list is full",
         "oracle.py",
@@ -430,7 +430,50 @@ MUTANTS = (
         "if bits & m == m:",
         "tests/test_oracle.py",
         "cut_deep",
-        ("tests/test_oracle.py::TestBruteForce::test_half_of_the_5_cube_is_cut_deep[4]",),
+        ("tests/test_oracle.py::TestBruteForce::test_half_of_the_5_cube_is_cut_deep_at_cap_4",),
+    ),
+    # A split ceiling that is too strong cuts sets that tie with the best
+    # or beat it. At cap 1 the first leaf, the initial segment, fills the
+    # list before any could be lost, so only caps of 2 or more show these;
+    # the n = 4 sizes the split cuts run at such caps in both tests.
+    Mutant(
+        "split ceiling: no term for the subcubes across the split",
+        "oracle.py",
+        "for j, r in ((left, q), (min(left, k - left), q - 1)):",
+        "for j, r in ((left, q),):",
+        "tests/test_oracle.py",
+        "walks_agree or independent_reference",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-5]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-9]",
+            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-8-2]",
+            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-11-None]",
+        ),
+    ),
+    Mutant(
+        "split ceiling: cut when it equals the bar",
+        "oracle.py",
+        "if v == cut and count + _top_half(n, k, q, left, maxima) < bar:",
+        "if v == cut and count + _top_half(n, k, q, left, maxima) <= bar:",
+        "tests/test_oracle.py",
+        "walks_agree or independent_reference",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-6]",
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-10]",
+            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-8-4]",
+        ),
+    ),
+    Mutant(
+        "split ceiling: a last pick cut when it equals the bar",
+        "oracle.py",
+        "elif count + _top_half(n, k, q, 1, maxima) < bar:",
+        "elif count + _top_half(n, k, q, 1, maxima) <= bar:",
+        "tests/test_oracle.py",
+        "walks_agree or independent_reference",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-5]",
+            "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-5-None]",
+        ),
     ),
     Mutant(
         "package __all__ skips weights",

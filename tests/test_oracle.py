@@ -113,15 +113,17 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "n,k",
         [(n, k) for n in range(1, 4) for k in range(1, 2**n + 1)]
-        + [(4, k) for k in (2, 3, 8, 9, 10, 11, 14, 15)]
+        + [(4, k) for k in (2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15)]
         + [(5, 30), (5, 31), (6, 62), (6, 63)],
     )
     def test_matches_independent_reference(self, n, k):
         # Whole argmax list, in order, against itertools and an explicit
-        # subcube generator. The scan walks the removed set instead once
-        # 2k > 2^n + 1: from k = 5 at n = 3 and from k = 9 at n = 4, so
-        # the n = 3 cases and n = 4 at k = 8 and 9 cover both sides of
-        # the switch. At n = 6 the downward walk scores a second removal.
+        # subcube generator. The scan walks the removed set instead from
+        # 4k >= 3 * 2^n on: from k = 6 at n = 3 and from k = 12 at n = 4,
+        # so the n = 3 cases and n = 4 at k = 11 and 12 cover both sides
+        # of the switch. The split ceiling cuts n = 4 at k = 5-11, every
+        # one of them here. At n = 6 the downward walk scores a second
+        # removal.
         for q in range(n + 1):
             counts = {
                 combo: oracles.subcube_count(combo, n, q)
@@ -140,13 +142,29 @@ class TestBruteForce:
         # fraction of a second: the first leaf is the initial segment,
         # whose count is the maximum, and nearly every later subtree's
         # ceiling is at most that. At q = 0 the count ceiling is exact, at
-        # q = 5 nothing scores, and at q = 4 the cut rests on the
-        # universe's count, which falls to the maximum, 1.
+        # q = 5 nothing scores, and at q = 4 the universe's count, which
+        # falls to the maximum, 1, and the split ceiling cut.
         with _deadline(5):
             res = brute_force_mq(5, 16, q, argmax_cap=1, budget=10**9)
         assert res.total_subsets_scanned == comb(32, 16) == 601080390
         assert res.max_count == prefix_hq(16, q)
         assert res.argmax_examples == (initial_segment(16, 5),)
+
+    def test_half_of_the_5_cube_is_cut_deep_at_cap_4(self):
+        # The ten 4-subcubes tie at the maximum, 1, so at cap 4 the bar
+        # stays 1 until the fourth of them is listed, and only a ceiling of
+        # 0 cuts. The split ceiling stays at 1 wherever a 3-subcube can
+        # cross the split, so the cut rests on the universe's count, which
+        # falls to 0 once no 4-subcube fits (over 20 s with a universe that
+        # barely shrinks).
+        with _deadline(5):
+            res = brute_force_mq(5, 16, 4, argmax_cap=4, budget=10**9)
+        assert res.total_subsets_scanned == comb(32, 16)
+        assert res.max_count == 1
+        # the subcubes with coordinate 4, 3, 2 and then 1 fixed at 0
+        assert [tuple(S) for S in res.argmax_examples] == [
+            tuple(v for v in range(32) if not v >> c & 1) for c in (4, 3, 2, 1)
+        ]
 
     def test_too_small_for_any_subcube(self):
         res = brute_force_mq(3, 3, 2)
@@ -214,10 +232,11 @@ class TestBruteForce:
     )
     def test_capped_argmax_is_prefix_of_uncapped(self, n, k):
         # A cap keeps the first entries of the full list, in scan order.
-        # n <= 3 covers both directions; n = 4 at k >= 11 and n = 5 at
+        # n <= 3 covers both directions; n = 4 at k >= 12 and n = 5 at
         # k >= 30 walk downward, where ties often outnumber the cap. Ties
-        # are cut only once the list is full, which n = 4 at k = 4-8
-        # checks upward, where the universe's count cuts them too.
+        # are cut only once the list is full, which n = 4 at k = 4-8 and
+        # 11 checks upward, where the universe's count and, from k = 5,
+        # the split ceiling cut them too.
         for q in range(n + 1):
             full = brute_force_mq(n, k, q, argmax_cap=comb(2**n, k)).argmax_examples
             for cap in range(4):
@@ -227,17 +246,36 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "n,k,cap",
         [(n, k, None) for n in range(1, 4) for k in range(1, 2**n + 1)]
-        + [(4, k, cap) for k in (*range(1, 6), 8, 9, *range(12, 17)) for cap in (0, 3)]
+        + [(4, k, cap) for k in range(5, 12) for cap in (0, 1, 2, 3, 4, None)]
+        + [(4, k, cap) for k in (1, 2, 3, 4, *range(12, 17)) for cap in (0, 3)]
         + [(5, k, 2) for k in (1, 2, 3, 29, 30, 31, 32)],
     )
     def test_walks_agree_across_the_switch(self, n, k, cap):
         # Each direction checks the other outside the range where it runs:
         # (best, argmax list, scanned) must be identical on both sides of
-        # 2k > 2^n + 1, which n = 4 at k = 8 and 9 straddle. None is uncapped.
+        # 4k >= 3 * 2^n, which n = 4 at k = 11 and 12 straddle. Only the
+        # upward walk takes the split ceiling, so the downward walk checks
+        # it on every n <= 4 size it cuts, k = 5-11 of the 4-cube, at caps
+        # 0-4 and uncapped (None).
         if cap is None:
             cap = comb(2**n, k)
         for q in range(n + 1):
-            assert _walk(n, k, q, cap, down=False) == _walk(n, k, q, cap, down=True), q
+            assert _walk(n, k, q, cap, False, {}) == _walk(n, k, q, cap, True, {}), q
+
+    def test_no_result_reads_the_formula(self, monkeypatch):
+        # The split ceiling takes its (n - 1)-cube maxima from the oracle's
+        # own scans, so a wrong prefix_hq moves matches_formula and nothing
+        # else: the maximum, the argmax list and the count stay the same.
+        cases = [(n, k, q) for n in range(1, 5) for k in range(1, 2**n + 1) for q in range(n + 1)]
+        cases += [(5, k, q) for k in (1, 2, 3, 30, 31, 32) for q in range(6)] + [(5, 17, 1)]
+        right = {case: brute_force_mq(*case, budget=10**9) for case in cases}
+        monkeypatch.setattr("cubeseg.oracle.prefix_hq", lambda k, q: prefix_hq(k, q) + 1)
+        for case in cases:
+            res, was = brute_force_mq(*case, budget=10**9), right[case]
+            assert res.max_count == was.max_count, case
+            assert res.argmax_examples == was.argmax_examples, case
+            assert res.total_subsets_scanned == was.total_subsets_scanned, case
+            assert was.matches_formula and not res.matches_formula, case
 
     def test_argmax_cap_zero(self):
         res = brute_force_mq(2, 2, 1, argmax_cap=0)
@@ -351,7 +389,8 @@ class TestMaskTable:
 
     def test_one_table_per_scan(self, monkeypatch):
         # An upward scan that keeps its universe's count reads the masks
-        # it scores with for the universe's upkeep too.
+        # it scores with for the universe's upkeep too. The split ceiling's
+        # scans of the 3-cube, at q = 2 and 1, make their own.
         made = []
 
         class Counted(_MaskTable):
@@ -361,7 +400,8 @@ class TestMaskTable:
 
         monkeypatch.setattr("cubeseg.oracle._MaskTable", Counted)
         assert brute_force_mq(4, 8, 2).max_count == prefix_hq(8, 2)
-        assert made == [(4, 2)]
+        assert made[0] == (4, 2) and made.count((4, 2)) == 1
+        assert set(made[1:]) == {(3, 2), (3, 1)}
 
     def test_a_scan_that_builds_no_mask_makes_no_shape(self):
         # One removal from the 20-cube scores C(20, 10) without a mask, so
