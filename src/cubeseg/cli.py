@@ -263,12 +263,13 @@ def _cmd_counterexample(ns) -> _Report:
 def run(argv) -> int:
     """Parse argv, dispatch, and emit one report; returns the exit code.
 
-    The report is written to stdout only after the command has fully
-    succeeded, so error exits never leave partial output behind.
+    The report is rendered whole and written to stdout only after the
+    command has fully succeeded, so error exits, running out of memory
+    included, never leave partial output behind.
     """
     try:
         ns = _build_parser().parse_args(list(argv))
-        report = ns.handler(ns)
+        text = _render(ns.handler(ns), ns.output)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (cube.VertexFormatError, OSError) as exc:
@@ -280,7 +281,10 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(_render(report, ns.output))
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    sys.stdout.write(text)
     return 0
 
 

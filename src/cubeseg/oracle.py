@@ -10,13 +10,20 @@ the next member and passes the new prefix's indicator and count down, so
 the call stack holds the prefix and each prefix is pushed once. The call
 that makes the last pick scores it over its whole range in one loop.
 
-The one walk runs in one of two directions, chosen from (n, k) alone:
-upward it picks the k kept vertices of S from the empty set, downward
-the r = 2^n - k removed vertices of T from the whole cube. It runs
-downward from 4k >= 3 * 2^n on (``_downward``): only the upward walk
-takes the split ceiling below, which decides the middle sizes many times
-faster than the downward walk, and past three quarters of the cube the
-shallower downward walk is the faster one.
+Where every k-set holds the same count, no walk is needed: at q = 0 a
+set's 0-subcubes are its k vertices, and below k = 2^q no set holds a
+q-subcube, which has 2^q vertices. There every set ties, so ``_scan``,
+the one entry of ``brute_force_mq`` and of the sub-scans below, returns
+that count, the first ``argmax_cap`` sets in scan order and C(2^n, k)
+decided. It hands every other size to the walk.
+
+The walk runs in one of two directions, which ``_scan`` chooses from
+(n, k, q): upward it picks the k kept vertices of S from the empty set,
+downward the r = 2^n - k removed vertices of T from the whole cube. It
+runs upward wherever the split ceiling below applies (``_splits``),
+which only the upward walk takes and which decides those sizes many
+times faster, and elsewhere from the shorter side: downward when
+2k > 2^n.
 Picking a vertex v flips its bit in the set's indicator. Upward this adds
 the q-subcubes of the new prefix whose highest vertex is v, the
 per-vertex reading of the paper's sum over i < k of C(h(i), q).
@@ -42,8 +49,7 @@ fewer than 2^q - 1 members, which a q-subcube needs besides v, precede
 it, and downward the first removal's C(n, q) is taken before the walk
 starts, so a scan with one removal builds no mask. A table keeps at most
 ``_TABLE_BYTES`` (64 MiB) of masks; a vertex past it has its masks built
-again at each use. At q = 0 every vertex's one mask is 0, and all share
-one list from the start. The masks are built here, from one shape per
+again at each use. The masks are built here, from one shape per
 choice of q free coordinates, and not taken from ``cube``'s
 free-coordinate tables: the oracle is the check that the kernels are
 right, and a fault in a shared table would pass it.
@@ -57,8 +63,7 @@ list. A cut subtree's sets are counted as scanned all the same, so every
 set is scored or cut, and the maximum, the argmax list and the count are
 those of the full scan.
 - Downward the ceiling is the current count, since a removal never adds
-  a subcube; at q = 0, where each removal takes exactly one, it is the
-  count less the removals still to come.
+  a subcube.
 - Upward it is the smaller of two bounds. One is the count plus C(n, q)
   for each scored pick still to come, the most subcubes a pick can top.
   The other is the m_q of the universe P + [v, 2^n), the picked vertices
@@ -85,11 +90,13 @@ those of the full scan.
   level returns and counts the C(2^(n-1), left) sets it skips as
   scanned. Before the last pick the test is made once, as the level
   begins. Each M_{n-1} is the maximum of the oracle's own scan of the
-  (n-1)-cube at cap 0, made at its first use and kept for one
-  ``brute_force_mq`` call (``_top_half``): the [G1970] step that closes
-  the paper's induction is replaced by computation. A fixed floor
-  (``_SPLIT_DIM``, ``_SPLIT_SCAN``) keeps sparse scans of larger cubes and
-  tiny scans off it, where the sub-scans would cost more than they cut.
+  (n-1)-cube at cap 0, through ``_scan``, made at its first use and kept
+  for one ``brute_force_mq`` call (``_top_half``): the [G1970] step that
+  closes the paper's induction is replaced by computation, and a uniform
+  size, such as M_{n-1}(j, 0) = j, is its count. A floor (``_splits``:
+  dimension at most ``_SPLIT_DIM``, at least ``_SPLIT_SCAN`` sets) keeps
+  sparse scans of larger cubes and tiny scans off it, where the
+  sub-scans would cost more than they cut.
 
 Once the argmax list is full, the walk also cuts by symmetry. m_q is
 invariant under the 2^n * n! automorphisms of the cube, the XOR
@@ -145,10 +152,13 @@ DEFAULT_BUDGET = 20_000_000
 DEFAULT_ARGMAX_CAP = 4
 
 # Largest scan started whatever the budget. The walk recurses once per
-# member it picks, k - 1 calls deep upward, where 4k < 3 * 2^n, and
-# 2^n - k - 1 downward; within 2^64 subsets that is at most 46 calls
-# (n = 6, k = 47), and with the split ceiling's sub-scans of smaller
-# cubes under 70.
+# member it picks, k - 1 calls deep upward and 2^n - k - 1 downward, and
+# the split ceiling's sub-scans of smaller cubes nest below a pick. Within
+# 2^64 subsets every size of the 6-cube is scanned, upward to k = 62, and
+# the deepest stack is that of (6, 59, q), 0 < q < 6: 74 nested calls of
+# brute_force_mq, the entry, the walks and the sub-scans, and 77 frames
+# with the mask table's below a leaf (a recursion limit of 79 from a
+# script's top level), far below the interpreter's default of 1000.
 _MAX_SCAN = 1 << 64
 
 
@@ -199,14 +209,15 @@ def brute_force_mq(
 
     Decides all C(2^n, k) subsets in lexicographic order of their sorted
     member sequences, so results (including the capped argmax list) are
-    deterministic. From 4k >= 3 * 2^n on the scan picks the 2^n - k
-    removed vertices in reverse lexicographic order instead, which is the
-    same order of the sets (see the module docstring); the direction
-    depends on (n, k) alone, and the walk recurses over the prefix tree,
-    one call per picked member: k - 1 calls deep upward, 2^n - k - 1
-    downward. The switch sits where the split ceiling stops paying: below
-    it every size that ceiling cuts runs upward, and the near-full scans
-    of large cubes, such as ``(16, 2^16 - 1, q)``, stay downward.
+    deterministic. When every k-set holds the same count (q = 0, or
+    k < 2^q) that count is returned with the first ``argmax_cap`` sets,
+    and no set is walked. Otherwise the walk recurses over the prefix
+    tree, one call per picked member, upward (k - 1 calls deep) wherever
+    the split ceiling below applies, and else from the shorter side: from
+    2k > 2^n on it picks the 2^n - k removed vertices in reverse
+    lexicographic order, which is the same order of the sets (see the
+    module docstring), so the near-full scans of large cubes, such as
+    ``(16, 2^16 - 1, q)``, recurse 2^n - k - 1 calls deep.
 
     Each picked vertex is scored by testing the set against the sorted
     masks of the subcubes through it, from the one table the scan fills
@@ -243,9 +254,8 @@ def brute_force_mq(
 
     Raises BudgetExceeded before any work if C(2^n, k) exceeds the budget
     or 2^64, whatever the budget, without computing a binomial past
-    min(k, 2^n - k) = 64; within 2^64 subsets the recursion is at most 46
-    calls deep (n = 6, k = 47), under 70 with the sub-scans, far below the
-    interpreter's limit.
+    min(k, 2^n - k) = 64; within 2^64 subsets the recursion stays far
+    below the interpreter's limit (see ``_MAX_SCAN``).
     """
     _check_dim(n)  # before 1 << n, which a huge n would make unaffordable
     _check_k(k, n)
@@ -262,7 +272,7 @@ def brute_force_mq(
     if required > bound:
         raise BudgetExceeded(required, bound)
 
-    best, examples, scanned = _walk(n, k, q, argmax_cap, _downward(n, k), {})
+    best, examples, scanned = _scan(n, k, q, argmax_cap, {})
     formula = prefix_hq(k, q)
     return OracleResult(
         n=n,
@@ -275,11 +285,37 @@ def brute_force_mq(
     )
 
 
-def _downward(n: int, k: int) -> bool:
-    """Whether the scan of the k-subsets of the n-cube picks the removed
-    vertices: from 4k >= 3 * 2^n on, so the sizes the split ceiling cuts
-    run upward."""
-    return 4 * k >= 3 << n
+def _scan(
+    n: int, k: int, q: int, cap: int, maxima: dict[tuple[int, int, int], int]
+) -> tuple[int, list[VertexSet], int]:
+    """(best, argmax list, sets decided) of the k-subsets of the n-cube at
+    q: without a walk where every set ties, else by the walk, upward where
+    it takes the split ceiling and else from the shorter side."""
+    size = 1 << n
+    if q == 0 or k < 1 << q:
+        # every set holds its k vertices, or no q-subcube
+        scanned, first = comb(size, k), [(1 << k) - 1]
+        while len(first) < min(cap, scanned):
+            first.append(_next_set(first[-1], size))
+        return k if q == 0 else 0, [VertexSet.from_bits(n, bits) for bits in first[:cap]], scanned
+    return _walk(n, k, q, cap, not _splits(n, k, q) and 2 * k > size, maxima)
+
+
+def _next_set(bits: int, size: int) -> int:
+    """The set after ``bits`` in scan order, among the sets of its size in
+    a cube of ``size`` vertices: the highest member below the run that
+    ends at vertex size - 1 moves up one, and the run follows it."""
+    gap = (bits ^ (1 << size) - 1).bit_length() - 1
+    low = bits & (1 << gap) - 1
+    moved = low.bit_length() - 1
+    return low ^ 1 << moved | (1 << size - gap) - 1 << moved + 1
+
+
+def _splits(n: int, k: int, q: int) -> bool:
+    """Whether an upward scan of the k-subsets of the n-cube at q takes the
+    split ceiling: its cross term reads (q-1)-subcubes, and the floor
+    holds (see ``_SPLIT_DIM``)."""
+    return q > 0 and n <= _SPLIT_DIM and comb(1 << n, k) >= _SPLIT_SCAN
 
 
 def _walk(
@@ -296,8 +332,8 @@ def _walk(
         if k == size:
             return whole, [VertexSet.from_bits(n, ones)] if cap else [], 1
         step, picks, root, count = -1, size - k, ones, whole - per_vertex
-        # a later removal takes no subcube at least, and at q = 0 exactly one
-        top, reach = picks - 1, -1 if q == 0 else 0
+        # a later removal takes no subcube at least
+        top, reach = picks - 1, 0
     else:
         # pick the kept vertices; a pick is scored once 2^q - 1 precede it,
         # and adds at most the C(n, q) subcubes whose highest vertex it is
@@ -306,13 +342,11 @@ def _walk(
     table = _MaskTable(n, q)
     kept, masks = table.kept, table.masks
     # upward, levels with _TRACKED picks left also keep the m_q of their
-    # universe (see the module docstring), unless the count ceiling is
-    # exact already: at q = 0, or when no pick is scored
-    track = not down and q > 0 and top > 0 and picks >= _TRACKED
-    # upward, past the floor, a level whose prefix lies below 2^(n-1)
-    # takes the split ceiling at its pick 2^(n-1), unless the count
-    # ceiling is exact already, as for the universe
-    split = not down and q > 0 and top > 0 and n <= _SPLIT_DIM and comb(size, k) >= _SPLIT_SCAN
+    # universe (see the module docstring), unless no pick is scored
+    track = not down and top > 0 and picks >= _TRACKED
+    # upward, a level whose prefix lies below 2^(n-1) takes the split
+    # ceiling at its pick 2^(n-1)
+    split = not down and _splits(n, k, q)
     best = -1
     # the least count a set needs to change the result: best while the
     # argmax list has room, best + 1 once it holds cap sets
@@ -406,12 +440,10 @@ def _top_half(n: int, k: int, q: int, left: int, maxima: dict[tuple[int, int, in
     first use and kept in ``maxima`` under (n - 1, j, r).
     """
     total = 0
-    for j, r in ((left, q), (min(left, k - left), q - 1)):
-        if r < n:  # an (n-1)-cube holds no n-subcube
-            key = (n - 1, j, r)
-            if key not in maxima:
-                maxima[key] = _walk(n - 1, j, r, 0, _downward(n - 1, j), maxima)[0]
-            total += maxima[key]
+    for key in ((n - 1, left, q), (n - 1, min(left, k - left), q - 1)):
+        if key not in maxima:
+            maxima[key] = _scan(*key, 0, maxima)[0]
+        total += maxima[key]
     return total
 
 
@@ -437,13 +469,13 @@ def _leads(v: int, prior: int, down: bool) -> bool:
 # 3, and the whole sweep of n <= 4 and the n = 5 slices no faster.
 _TRACKED = 3
 
-# The floor of the split ceiling: an upward scan takes it only in cubes of
-# dimension at most _SPLIT_DIM and with at least _SPLIT_SCAN sets. Past the
-# dimension the sparse scans' sub-scans can cost more than the regions
-# they cut: with them (10, 3, 1) took 1.3x and (7, 3, 1) 1.4x as long.
-# Below the size a scan is over before its sub-scans pay: with no size
-# floor the n <= 4 sweep and the n = 5 slices took 1.4x as long as with
-# this one, and with 10,000 1.25x.
+# The floor of the split ceiling (``_splits``): a scan takes it, and so
+# runs upward, only in cubes of dimension at most _SPLIT_DIM and with at
+# least _SPLIT_SCAN sets. Past the dimension the sparse scans' sub-scans
+# can cost more than the regions they cut: with them (10, 3, 1) took 1.3x
+# and (7, 3, 1) 1.4x as long. Below the size a scan is over before its
+# sub-scans pay: with no size floor the n <= 4 sweep and the n = 5 slices
+# took 1.4x as long as with this one, and with 10,000 1.25x.
 _SPLIT_DIM = 6
 _SPLIT_SCAN = 2000
 
@@ -465,15 +497,13 @@ class _MaskTable:
     within _TABLE_BYTES, else None. The lists are built from ``shapes``,
     one indicator per choice of q free coordinates, made at the first
     build and counted against the bound: a scan that builds no mask, such
-    as (20, 2^20 - 1, 10), makes none of its C(20, 10) shapes. At q = 0 a
-    vertex's one subcube is itself, whose mask is 0, so every entry is
-    the same list [0] from the start.
+    as (20, 2^20 - 1, 10), makes none of its C(20, 10) shapes.
     """
 
     def __init__(self, n: int, q: int):
         self.n = n
         self.q = q
-        self.kept: list[list[int] | None] = [[0] if q == 0 else None] * (1 << n)
+        self.kept: list[list[int] | None] = [None] * (1 << n)
         self.shapes: list[tuple[int, int]] | None = None
         self.room = _TABLE_BYTES - getsizeof(self.kept)
 

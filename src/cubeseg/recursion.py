@@ -129,14 +129,16 @@ __all__ = [
     "find_onlyif_counterexamples",
 ]
 
-# build_table refuses a table of more than _MAX_SPLITS splits or
-# _MAX_CELLS values. It scores no split one at a time, but its tie tuples
-# hold up to kmax^2 / 4 ints. At the split bound, (1, 16384) builds in
+# build_table refuses a table whose rows span more than _MAX_SPLITS
+# splits, the qmax * floor(kmax^2 / 4) splits x <= k / 2 of every k <= kmax
+# in rows 1 to qmax, or that holds more than _MAX_CELLS values. No split is
+# scored; the split count bounds the ints the maximizer tuples can list,
+# which the tie tuples come near. At the split bound, (1, 16384) builds in
 # ~0.03 s; (64, 2048), whose every k lies below 2^12 and so ties at every
 # split of rows q >= 12, builds in ~0.07 s at ~28 MB, nearly all of it
 # tie tuples. The value bound stops tables of few splits per value and
 # many rows, which the split bound lets through: (2^18 - 1, 4) builds in
-# ~0.35 s, and (10^8, 1), which scores no split, would need ~8 GB.
+# ~0.35 s, and (10^8, 1), which spans no split, would need ~8 GB.
 _MAX_SPLITS = 1 << 26
 _MAX_CELLS = 1 << 20
 # find_onlyif_counterexamples refuses to list more than _MAX_LISTED
@@ -203,10 +205,10 @@ def build_table(qmax: int, kmax: int) -> RecursionTable:
         raise ValueError(f"qmax must be >= 0, got {qmax}")
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    scored, cells = qmax * (kmax * kmax // 4), (qmax + 1) * kmax
-    if scored > _MAX_SPLITS or cells > _MAX_CELLS:
+    splits, cells = qmax * (kmax * kmax // 4), (qmax + 1) * kmax
+    if splits > _MAX_SPLITS or cells > _MAX_CELLS:
         raise ValueError(
-            f"the table to qmax = {qmax}, kmax = {kmax} scores {scored} splits and holds"
+            f"the table to qmax = {qmax}, kmax = {kmax} spans {splits} splits and holds"
             f" {cells} values, past the bounds of {_MAX_SPLITS} and {_MAX_CELLS}"
         )
     weights = [i.bit_count() for i in range(kmax)]

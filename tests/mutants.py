@@ -359,12 +359,14 @@ MUTANTS = (
         "bar = best + (len(examples) >= cap)",
         "bar = best + 1",
         "tests/test_oracle.py",
-        "independent_reference or lexicographically_capped or singletons",
+        "independent_reference or lexicographically_capped"
+        " or (uniform_sizes and ([3-5-0] or [4-3-2]))",
         (
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[3-4]",
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
             "tests/test_oracle.py::TestBruteForce::test_argmax_is_lexicographically_capped",
-            "tests/test_oracle.py::TestBruteForce::test_singletons_of_the_20_cube_at_q_zero",
+            "tests/test_oracle.py::TestBruteForce::test_uniform_sizes_match_the_walk[3-5-0]",
+            "tests/test_oracle.py::TestBruteForce::test_uniform_sizes_match_the_walk[4-3-2]",
         ),
     ),
     # A pick test that cuts too much changes no result, since it waits for
@@ -416,11 +418,12 @@ MUTANTS = (
         "scanned += comb(size - v - 1, left - 1)",
         "pass",
         "tests/test_oracle.py",
-        "cut_deep or scan_bound",
+        "cut_deep or scan_bound or (uniform_sizes and [4-8-0])",
         (
-            "tests/test_oracle.py::TestBruteForce::test_half_of_the_5_cube_is_cut_deep[0]",
-            "tests/test_oracle.py::TestBruteForce::test_half_of_the_5_cube_is_cut_deep[5]",
+            "tests/test_oracle.py::TestBruteForce::test_half_of_the_5_cube_is_cut_deep[4]",
+            "tests/test_oracle.py::TestBruteForce::test_half_of_the_5_cube_is_cut_deep_at_cap_4",
             "tests/test_oracle.py::TestBruteForce::test_scan_bound_holds_whatever_the_budget",
+            "tests/test_oracle.py::TestBruteForce::test_uniform_sizes_match_the_walk[4-8-0]",
         ),
     ),
     Mutant(
@@ -439,8 +442,8 @@ MUTANTS = (
     Mutant(
         "split ceiling: no term for the subcubes across the split",
         "oracle.py",
-        "for j, r in ((left, q), (min(left, k - left), q - 1)):",
-        "for j, r in ((left, q),):",
+        "for key in ((n - 1, left, q), (n - 1, min(left, k - left), q - 1)):",
+        "for key in ((n - 1, left, q),):",
         "tests/test_oracle.py",
         "walks_agree or independent_reference",
         (
@@ -473,6 +476,34 @@ MUTANTS = (
         (
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-5]",
             "tests/test_oracle.py::TestBruteForce::test_walks_agree_across_the_switch[4-5-None]",
+        ),
+    ),
+    Mutant(
+        "uniform sizes: a q = 0 set counted one vertex short",
+        "oracle.py",
+        "return k if q == 0 else 0,",
+        "return k - 1 if q == 0 else 0,",
+        "tests/test_oracle.py",
+        "singletons or (uniform_sizes and ([3-5-0] or [4-16-0]))",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_singletons_of_the_20_cube_at_q_zero",
+            "tests/test_oracle.py::TestBruteForce::test_uniform_sizes_match_the_walk[3-5-0]",
+            "tests/test_oracle.py::TestBruteForce::test_uniform_sizes_match_the_walk[4-16-0]",
+        ),
+    ),
+    # Both walks give the same result, so only the direction test sees a
+    # scan sent down the walk that never takes the split ceiling
+    Mutant(
+        "direction: the split ceiling's floor not read",
+        "oracle.py",
+        "not _splits(n, k, q) and 2 * k > size",
+        "2 * k > size",
+        "tests/test_oracle.py",
+        "scan_direction",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_scan_direction[5-24-1-False]",
+            "tests/test_oracle.py::TestBruteForce::test_scan_direction[5-29-1-False]",
+            "tests/test_oracle.py::TestBruteForce::test_scan_direction[6-60-2-False]",
         ),
     ),
     Mutant(

@@ -61,13 +61,15 @@ def hypercubic_by_k():
 def test_criterion_01_oracle_equivalence():
     failures = []
     cases = [(n, k, q) for n in range(1, 6) for k in range(1, 2**n + 1) for q in range(n + 1)]
+    cases += [(6, k, q) for k in (*range(1, 8), *range(60, 65)) for q in range(7)]
     for n, k, q in cases:
         res = brute_force_mq(n, k, q, argmax_cap=1, budget=10**9)
         if not res.matches_formula:
             failures.append((n, k, q, res.max_count, prefix_hq(k, q)))
     report(
         1,
-        "exhaustive maxima equal prefix sums for every (n, k, q) with n <= 5",
+        "exhaustive maxima equal prefix sums for every (n, k, q) with n <= 5,"
+        " and with n = 6 at k <= 7 and k >= 60",
         failures,
     )
 

@@ -426,6 +426,17 @@ def folder(tmp_path_factory):
 
 
 class TestExitContract:
+    # Running out of memory, in a command or in rendering its report, is
+    # one error line, exit 1 and no report, not a MemoryError traceback
+    @pytest.mark.parametrize("where", ["recursion.hypercubic_partitions", "cli._render"])
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch, where):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(f"cubeseg.{where}", exhausted)
+        rc, out, err = invoke(capsys, ["hypercubic", "--k", "6", "--output", "json"])
+        assert (rc, out, err) == (1, "", "error: out of memory\n")
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), file_bytes=st.binary(max_size=64))
     def test_exit_code_stdout_and_stderr(self, folder, data, file_bytes):

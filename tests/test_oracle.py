@@ -18,6 +18,7 @@ from cubeseg.oracle import (
     OracleResult,
     _MaskTable,
     _leads,
+    _scan,
     _walk,
     brute_force_mq,
     is_optimal_set,
@@ -73,7 +74,8 @@ class TestBruteForce:
     @pytest.mark.parametrize("n", [*range(1, 7), 8, 10])
     def test_all_but_one_vertex_closed_form(self, n):
         # Each missing vertex takes away the C(n, q) q-subcubes through it.
-        # The downward walk scores each of the 2^n sets with one removal.
+        # From q = 1 on the downward walk scores each of the 2^n sets with
+        # one removal; at q = 0 they tie, and none is walked.
         for q in range(n + 1):
             res = brute_force_mq(n, 2**n - 1, q)
             assert res.max_count == comb(n, q) * (2 ** (n - q) - 1)
@@ -88,8 +90,9 @@ class TestBruteForce:
         assert res.argmax_examples == (initial_segment(2**20 - 1, 20),)
 
     def test_singletons_of_the_20_cube_at_q_zero(self):
-        # Every vertex is its own 0-subcube: each of the 2^20 singletons
-        # scores 1, against the one mask list all vertices share.
+        # Every vertex is its own 0-subcube, so each of the 2^20 singletons
+        # holds 1: a uniform size, answered with the first four singletons
+        # and no walk or mask table.
         res = brute_force_mq(20, 1, 0)
         assert res == OracleResult(
             n=20,
@@ -118,12 +121,11 @@ class TestBruteForce:
     )
     def test_matches_independent_reference(self, n, k):
         # Whole argmax list, in order, against itertools and an explicit
-        # subcube generator. The scan walks the removed set instead from
-        # 4k >= 3 * 2^n on: from k = 6 at n = 3 and from k = 12 at n = 4,
-        # so the n = 3 cases and n = 4 at k = 11 and 12 cover both sides
-        # of the switch. The split ceiling cuts n = 4 at k = 5-11, every
-        # one of them here. At n = 6 the downward walk scores a second
-        # removal.
+        # subcube generator. Sizes past the split ceiling's floor walk the
+        # removed set from 2k > 2^n on: n = 3 from k = 5, n = 4 from
+        # k = 12, n = 5 at k = 30 and 31 and n = 6 at k = 63. The floor
+        # takes n = 4 at k = 5-11, every one of them here, and n = 6 at
+        # k = 62, C(64, 62) = 2016 sets, upward at its edge.
         for q in range(n + 1):
             counts = {
                 combo: oracles.subcube_count(combo, n, q)
@@ -139,11 +141,11 @@ class TestBruteForce:
     @pytest.mark.parametrize("q", [0, 4, 5])
     def test_half_of_the_5_cube_is_cut_deep(self, q):
         # 601,080,390 sets, ~5 minutes if each were scored, decided in a
-        # fraction of a second: the first leaf is the initial segment,
-        # whose count is the maximum, and nearly every later subtree's
-        # ceiling is at most that. At q = 0 the count ceiling is exact, at
-        # q = 5 nothing scores, and at q = 4 the universe's count, which
-        # falls to the maximum, 1, and the split ceiling cut.
+        # fraction of a second. At q = 0 and q = 5 every set ties, at 16
+        # vertices and at no 5-subcube, and none is walked. At q = 4 the
+        # first leaf is the initial segment, whose count is the maximum,
+        # and the universe's count, which falls to that maximum, 1, and
+        # the split ceiling cut nearly every later subtree.
         with _deadline(5):
             res = brute_force_mq(5, 16, q, argmax_cap=1, budget=10**9)
         assert res.total_subsets_scanned == comb(32, 16) == 601080390
@@ -248,19 +250,57 @@ class TestBruteForce:
         [(n, k, None) for n in range(1, 4) for k in range(1, 2**n + 1)]
         + [(4, k, cap) for k in range(5, 12) for cap in (0, 1, 2, 3, 4, None)]
         + [(4, k, cap) for k in (1, 2, 3, 4, *range(12, 17)) for cap in (0, 3)]
-        + [(5, k, 2) for k in (1, 2, 3, 29, 30, 31, 32)],
+        + [(5, k, 2) for k in (1, 2, 3, 29, 30, 31, 32)]
+        + [(6, k, cap) for k in (62, 63) for cap in (0, 2)],
     )
     def test_walks_agree_across_the_switch(self, n, k, cap):
         # Each direction checks the other outside the range where it runs:
         # (best, argmax list, scanned) must be identical on both sides of
-        # 4k >= 3 * 2^n, which n = 4 at k = 11 and 12 straddle. Only the
-        # upward walk takes the split ceiling, so the downward walk checks
-        # it on every n <= 4 size it cuts, k = 5-11 of the 4-cube, at caps
-        # 0-4 and uncapped (None).
+        # the split ceiling's floor, which n = 4 at k = 11 and 12 straddle
+        # (C(16, 12) = 1820 sets, under 2000) and n = 6 at k = 62 and 63
+        # (C(64, 62) = 2016); past it the scan walks downward from
+        # 2k > 2^n on. Only the upward walk takes the split ceiling, so the
+        # downward walk checks it on every n <= 4 size it cuts, k = 5-11 of
+        # the 4-cube, at caps 0-4 and uncapped (None).
         if cap is None:
             cap = comb(2**n, k)
         for q in range(n + 1):
             assert _walk(n, k, q, cap, False, {}) == _walk(n, k, q, cap, True, {}), q
+
+    @pytest.mark.parametrize(
+        "n,k,q",
+        [
+            (n, k, q)
+            for n in range(1, 5)
+            for k in range(1, 2**n + 1)
+            for q in range(n + 1)
+            if q == 0 or k < 2**q
+        ],
+    )
+    def test_uniform_sizes_match_the_walk(self, n, k, q):
+        # Where every k-set holds the same count, at q = 0 and below
+        # k = 2^q, no set is walked; the walk, which is never asked there,
+        # must give the same result in both directions.
+        for cap in (0, 1, 2, 3, 4, comb(2**n, k)):
+            res = brute_force_mq(n, k, q, argmax_cap=cap)
+            got = (res.max_count, list(res.argmax_examples), res.total_subsets_scanned)
+            for down in (False, True):
+                assert _walk(n, k, q, cap, down, {}) == got, (cap, down)
+
+    @pytest.mark.parametrize(
+        "n,k,q,down",
+        [(5, 24, 1, False), (5, 29, 1, False), (6, 60, 2, False)]
+        + [(4, 12, 1, True), (5, 30, 1, True), (8, 254, 3, True), (16, 65535, 1, True)],
+    )
+    def test_scan_direction(self, n, k, q, down, monkeypatch):
+        # No result shows the direction, which both walks agree on, so it
+        # is read off the walk the entry starts: upward wherever the split
+        # ceiling's floor holds, even past half the cube, and else
+        # downward from 2k > 2^n on.
+        asked = []
+        monkeypatch.setattr("cubeseg.oracle._walk", lambda *args: asked.append(args[4]))
+        _scan(n, k, q, 1, {})
+        assert asked == [down]
 
     def test_no_result_reads_the_formula(self, monkeypatch):
         # The split ceiling takes its (n - 1)-cube maxima from the oracle's
@@ -361,11 +401,6 @@ class TestMaskTable:
                     if v in cube
                 )
                 assert table.masks(v) == expected, (q, v)
-
-    def test_q_zero_shares_one_list(self):
-        # A vertex's one 0-subcube is itself, whose mask without it is 0.
-        kept = _MaskTable(4, 0).kept
-        assert kept[0] == [0] and all(masks is kept[0] for masks in kept)
 
     def test_kept_masks_stay_within_the_byte_bound(self):
         # All 66 subcubes of dimension 2 through each vertex of the

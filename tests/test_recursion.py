@@ -130,7 +130,7 @@ class TestBuildTable:
 
 
 class TestTableBounds:
-    # (1, 16384) scores exactly _MAX_SPLITS splits and (2^20 - 1, 1), with
+    # (1, 16384) spans exactly _MAX_SPLITS splits and (2^20 - 1, 1), with
     # no split, holds exactly _MAX_CELLS values.
     def test_largest_tables_build(self):
         assert 16384 * 16384 // 4 == recursion._MAX_SPLITS
