@@ -168,6 +168,19 @@ class TestBruteForce:
             tuple(v for v in range(32) if not v >> c & 1) for c in (4, 3, 2, 1)
         ]
 
+    def test_four_vertices_of_the_7_cube(self):
+        # Past the split ceiling's floor (n <= 6). The first four leaves
+        # are squares through 0 and 1, which fill the list at the maximum,
+        # 1; from there the symmetry cut keeps only a first pick of 0 and
+        # second picks 2^j - 1, while the count ceiling, which allows
+        # C(7, 2) per pick to come, stays above the bar. The 10.7 M sets
+        # take milliseconds, and took over 6 s before the symmetry cut.
+        with _deadline(2):
+            res = brute_force_mq(7, 4, 2)
+        assert res.max_count == prefix_hq(4, 2) == 1
+        assert res.total_subsets_scanned == comb(128, 4) == 10_668_000
+        assert res.argmax_examples[0] == initial_segment(4, 7)
+
     def test_too_small_for_any_subcube(self):
         res = brute_force_mq(3, 3, 2)
         assert res.max_count == 0
