@@ -10,12 +10,16 @@ the next member and passes the new prefix's indicator and count down, so
 the call stack holds the prefix and each prefix is pushed once. The call
 that makes the last pick scores it over its whole range in one loop.
 
-Where every k-set holds the same count, no walk is needed: at q = 0 a
-set's 0-subcubes are its k vertices, and below k = 2^q no set holds a
-q-subcube, which has 2^q vertices. There every set ties, so ``_scan``,
-the one entry of ``brute_force_mq`` and of the sub-scans below, returns
-that count, the first ``argmax_cap`` sets in scan order and C(2^n, k)
-decided. It hands every other size to the walk.
+Where every k-set holds the same count, no walk is needed. There are
+three such cases: at q = 0 a set's 0-subcubes are its k vertices; below
+k = 2^q no set holds a q-subcube, which has 2^q vertices; and from
+k = 2^n - 1 on a set misses at most one vertex. The whole cube holds
+C(n, q) * 2^(n-q) q-subcubes and a missing vertex takes the C(n, q)
+through it, so such a set holds C(n, q) * (2^(n-q) - (2^n - k)), which
+at q = 0 is k. In each case ``_scan``, the one entry of
+``brute_force_mq`` and of the sub-scans below, returns that count, the
+first ``argmax_cap`` sets in scan order and C(2^n, k) decided. It hands
+every other size to the walk, where two k-sets differ in count.
 
 The walk runs in one of two directions, which ``_scan`` chooses from
 (n, k, q): upward it picks the k kept vertices of S from the empty set,
@@ -47,7 +51,8 @@ fit are those whose highest vertex is v, and the sort puts them first.
 Picks before a fixed depth skip the table: upward a pick scores 0 while
 fewer than 2^q - 1 members, which a q-subcube needs besides v, precede
 it, and downward the first removal's C(n, q) is taken before the walk
-starts, so a scan with one removal builds no mask. A table keeps at most
+starts: nothing is removed before it, so all the subcubes through it are
+there to take. A table keeps at most
 ``_TABLE_BYTES`` (64 MiB) of masks; a vertex past it has its masks built
 again at each use. The masks are built here, from one shape per
 choice of q free coordinates, and not taken from ``cube``'s
@@ -93,7 +98,10 @@ those of the full scan.
   (n-1)-cube at cap 0, through ``_scan``, made at its first use and kept
   for one ``brute_force_mq`` call (``_top_half``): the [G1970] step that
   closes the paper's induction is replaced by computation, and a uniform
-  size, such as M_{n-1}(j, 0) = j, is its count. A floor (``_splits``:
+  size, such as M_{n-1}(j, 0) = j, is its count. The sub-scans are not
+  charged to the budget: by Vandermonde, C(2^(n-1), j) <= C(2^n, k) for
+  the j <= k they ask about, so each decides at most as many sets as the
+  scan that asks, and each is made once per call. A floor (``_splits``:
   dimension at most ``_SPLIT_DIM``, at least ``_SPLIT_SCAN`` sets) keeps
   sparse scans of larger cubes and tiny scans off it, where the
   sub-scans would cost more than they cut.
@@ -208,49 +216,13 @@ def brute_force_mq(
     """Maximize the q-subcube count over all k-subsets of the n-cube.
 
     Decides all C(2^n, k) subsets in lexicographic order of their sorted
-    member sequences, so results (including the capped argmax list) are
-    deterministic. When every k-set holds the same count (q = 0, or
-    k < 2^q) that count is returned with the first ``argmax_cap`` sets,
-    and no set is walked. Otherwise the walk recurses over the prefix
-    tree, one call per picked member, upward (k - 1 calls deep) wherever
-    the split ceiling below applies, and else from the shorter side: from
-    2k > 2^n on it picks the 2^n - k removed vertices in reverse
-    lexicographic order, which is the same order of the sets (see the
-    module docstring), so the near-full scans of large cubes, such as
-    ``(16, 2^16 - 1, q)``, recurse 2^n - k - 1 calls deep.
-
-    Each picked vertex is scored by testing the set against the sorted
-    masks of the subcubes through it, from the one table the scan fills
-    at first use and keeps within 64 MiB. Upward nothing is scored while the prefix is
-    too small to hold a q-subcube, and downward the first removal takes
-    C(n, q) without a mask, so ``(20, 2^20 - 1, q)`` scans its 2^20 sets
-    in well under a second.
-
-    A subtree of sets is cut unscored when a ceiling on their counts is
-    below the best count so far, or equal to it once ``argmax_cap`` sets
-    are listed. The ceiling holds for every set, whatever the maximum
-    (the module docstring gives it), so a cut set could neither raise the
-    maximum nor enter the list, and the result is the full scan's. Cut
-    sets count as scanned: ``total_subsets_scanned`` is C(2^n, k).
-
-    Upward scans of cubes up to dimension 6 with at least 2000 sets also
-    take the [BR1990] split ceiling at the top coordinate, bounded by the
-    maxima of the (n-1)-cube, which the oracle finds by scanning that cube
-    itself at cap 0. Those sub-scans are not charged to ``budget``. By
-    Vandermonde, C(2^(n-1), j) <= C(2^(n-1), j) * C(2^(n-1), k - j) <=
-    C(2^n, k) for the j <= k they ask about, so each decides at most as
-    many sets as the scan that asks; each (j, q') is scanned once per
-    call, at most 2k of them per dimension, and the sub-scans of the
-    4-cube that a 5-cube scan asks for take milliseconds.
-
-    Once ``argmax_cap`` sets are listed, a first or second pick that is
-    not the last and starts no set least in its orbit under the cube's
-    translations and coordinate permutations is cut with its subtree:
-    upward a first pick other than 0 or a second pick not of the form
-    2^j - 1, downward a first removal of 0, or a first removal of 1 and
-    a second other than 2. Every such set has an image earlier in scan
-    order with the same count, decided already, so it too could not
-    change the result.
+    member sequences, so results are deterministic. ``argmax_examples``
+    holds the first ``argmax_cap`` maximizing sets in that order, and
+    ``total_subsets_scanned`` is C(2^n, k): a set cut unscored, with a
+    subtree that could not change the result, counts as decided. The
+    module docstring gives the sizes where no set is walked, and the
+    walk's ceilings and cuts; it also bounds the split ceiling's scans of
+    the (n-1)-cube, which are not charged to ``budget``.
 
     Raises BudgetExceeded before any work if C(2^n, k) exceeds the budget
     or 2^64, whatever the budget, without computing a binomial past
@@ -292,12 +264,14 @@ def _scan(
     q: without a walk where every set ties, else by the walk, upward where
     it takes the split ceiling and else from the shorter side."""
     size = 1 << n
-    if q == 0 or k < 1 << q:
-        # every set holds its k vertices, or no q-subcube
+    if q == 0 or k < 1 << q or k >= size - 1:
+        # every set holds no q-subcube, or the whole cube's but the C(n, q)
+        # through each vertex it misses, which no two share here
         scanned, first = comb(size, k), [(1 << k) - 1]
         while len(first) < min(cap, scanned):
             first.append(_next_set(first[-1], size))
-        return k if q == 0 else 0, [VertexSet.from_bits(n, bits) for bits in first[:cap]], scanned
+        count = 0 if k < 1 << q else comb(n, q) * ((size >> q) - (size - k))
+        return count, [VertexSet.from_bits(n, bits) for bits in first[:cap]], scanned
     return _walk(n, k, q, cap, not _splits(n, k, q) and 2 * k > size, maxima)
 
 
@@ -328,7 +302,8 @@ def _walk(
     whole = per_vertex << n - q
     if down:
         # pick the removed vertices from the whole cube; the first
-        # removal's C(n, q) subcubes are taken before the walk starts
+        # removal's C(n, q) subcubes are taken before the walk starts,
+        # which spares the first level its masks
         if k == size:
             return whole, [VertexSet.from_bits(n, ones)] if cap else [], 1
         step, picks, root, count = -1, size - k, ones, whole - per_vertex
@@ -495,17 +470,25 @@ class _MaskTable:
     ``bits``. Upward, where S lies below v, the subcubes that fit are
     those topped at v. ``kept[v]`` is v's list while the lists stay
     within _TABLE_BYTES, else None. The lists are built from ``shapes``,
-    one indicator per choice of q free coordinates, made at the first
-    build and counted against the bound: a scan that builds no mask, such
-    as (20, 2^20 - 1, 10), makes none of its C(20, 10) shapes.
+    one indicator per choice of q free coordinates, made with the table
+    and counted against the bound. Only the walk makes a table, and it
+    runs only where two k-sets differ in count (q > 0, 2^q <= k <=
+    2^n - 2), so the near-full scans of large cubes make none.
     """
 
     def __init__(self, n: int, q: int):
-        self.n = n
-        self.q = q
         self.kept: list[list[int] | None] = [None] * (1 << n)
-        self.shapes: list[tuple[int, int]] | None = None
-        self.room = _TABLE_BYTES - getsizeof(self.kept)
+        # (span, shape): the free coordinates' bits and the indicator of
+        # the subcube they span from vertex 0
+        self.shapes: list[tuple[int, int]] = []
+        for free in combinations([1 << c for c in range(n)], q):
+            shape = 1
+            for step in free:
+                shape |= shape << step
+            self.shapes.append((sum(free), shape))
+        self.room = _TABLE_BYTES - getsizeof(self.kept) - getsizeof(self.shapes) - sum(
+            getsizeof(pair) + sum(map(getsizeof, pair)) for pair in self.shapes
+        )
 
     def masks(self, v: int) -> list[int]:
         found = self.kept[v]
@@ -518,18 +501,6 @@ class _MaskTable:
         return found
 
     def build(self, v: int) -> list[int]:
-        if self.shapes is None:
-            # (span, shape): the free coordinates' bits and the indicator
-            # of the subcube they span from vertex 0
-            self.shapes = []
-            for free in combinations([1 << c for c in range(self.n)], self.q):
-                shape = 1
-                for step in free:
-                    shape |= shape << step
-                self.shapes.append((sum(free), shape))
-            self.room -= getsizeof(self.shapes) + sum(
-                getsizeof(pair) + sum(map(getsizeof, pair)) for pair in self.shapes
-            )
         # the subcube through v is the shape moved to its lowest vertex,
         # v & ~span, where v sits at v & span
         return sorted((shape ^ 1 << (v & span)) << (v & ~span) for span, shape in self.shapes)

@@ -7,12 +7,13 @@ Run from the root of a checkout, with pytest and hypothesis installed:
 A mutant plants one fault: it replaces one snippet of one file under
 ``src/`` and names the tests that must catch it. ``check_table``, which
 Tier-1 runs too, first checks that each snippet occurs exactly once in
-its file and that each named test is defined. Every named test then runs
+its file and that each named test is defined. Every named test runs
 once against an unmutated copy of ``src/`` and must pass, so no mutant is
-counted as caught by a test that fails anyway. Each mutant then runs
-pytest on its named tests against its own mutated copy, one process per
-CPU, and is caught when pytest exits 1 with every named test failing; an
-id that names no test makes pytest exit 4. Verdicts print in table order.
+counted as caught by a test that fails anyway. Each mutant runs pytest on
+its named tests against its own mutated copy, and is caught when pytest
+exits 1 with every named test failing; an id that names no test makes
+pytest exit 4. The control run and the mutants are jobs of one pool, one
+process per CPU, the control first. Verdicts print in table order.
 
 The file name keeps it out of Tier-1 collection (``test_*.py``). It uses
 only the standard library and exits non-zero when the gate fails.
@@ -315,7 +316,6 @@ MUTANTS = (
         (
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[3-4]",
             "tests/test_oracle.py::TestBruteForce::test_matches_independent_reference[4-8]",
-            "tests/test_oracle.py::TestBruteForce::test_argmax_is_lexicographically_capped",
             "tests/test_oracle.py::TestBruteForce::test_uniform_sizes_match_the_walk[3-5-0]",
             "tests/test_oracle.py::TestBruteForce::test_uniform_sizes_match_the_walk[4-3-2]",
         ),
@@ -416,12 +416,23 @@ MUTANTS = (
     Mutant(
         "uniform sizes: a q = 0 set counted one vertex short",
         "oracle.py",
-        "return k if q == 0 else 0,",
-        "return k - 1 if q == 0 else 0,",
+        "comb(n, q) * ((size >> q) - (size - k))",
+        "comb(n, q) * ((size >> q) - (size - k)) - (q == 0)",
         (
             "tests/test_oracle.py::TestBruteForce::test_singletons_of_the_20_cube_at_q_zero",
             "tests/test_oracle.py::TestBruteForce::test_uniform_sizes_match_the_walk[3-5-0]",
             "tests/test_oracle.py::TestBruteForce::test_uniform_sizes_match_the_walk[4-16-0]",
+        ),
+    ),
+    # Two removed vertices can share subcubes, so their sets differ
+    Mutant(
+        "uniform sizes: two removals taken as ties",
+        "oracle.py",
+        "k >= size - 1",
+        "k >= size - 2",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_two_removed_from_the_8_cube",
+            "tests/test_oracle.py::TestBruteForce::test_walked_exactly_where_two_sets_differ",
         ),
     ),
     # Both walks give the same result, so only the direction test sees a
@@ -511,7 +522,7 @@ def _copy_src(tmp: Path) -> Path:
 
 
 def _check_control(tmp: Path) -> list[str]:
-    src = _copy_src(tmp / "control")
+    src = _copy_src(tmp)
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import cubeseg; print(cubeseg.__file__)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -543,13 +554,15 @@ def main() -> int:
     problems = check_table()  # before anything is copied or run
     if not problems:
         with tempfile.TemporaryDirectory(prefix="cubeseg-mutants-") as tmp:
-            problems = _check_control(Path(tmp))
-            # each mutant has its own copy of src/, so they run side by side
+            # each run has its own copy of src/, so they run side by side;
+            # the control, the longest, starts first
             with ThreadPoolExecutor(os.cpu_count()) as pool:
+                control = pool.submit(_check_control, Path(tmp) / "control")
                 checks = pool.map(_check, MUTANTS, [Path(tmp) / str(i) for i in range(len(MUTANTS))])
                 for mutant, found in zip(MUTANTS, checks):
                     print(f"{'FAIL' if found else 'ok  '} {mutant.name}", flush=True)
                     problems += found
+                problems = control.result() + problems
     for problem in problems:
         print(problem, file=sys.stderr)
     verdict = "gate failed" if problems else "every mutant caught"

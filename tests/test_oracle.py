@@ -73,17 +73,16 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", [*range(1, 7), 8, 10])
     def test_all_but_one_vertex_closed_form(self, n):
-        # Each missing vertex takes away the C(n, q) q-subcubes through it.
-        # From q = 1 on the downward walk scores each of the 2^n sets with
-        # one removal; at q = 0 they tie, and none is walked.
+        # Each missing vertex takes away the C(n, q) q-subcubes through it,
+        # so the 2^n sets with one removal tie, and none is walked.
         for q in range(n + 1):
             res = brute_force_mq(n, 2**n - 1, q)
             assert res.max_count == comb(n, q) * (2 ** (n - q) - 1)
             assert res.total_subsets_scanned == 2**n
 
     def test_all_but_one_of_the_20_cube(self):
-        # Nothing is removed before the one removal, so each of the 2^20
-        # sets scores C(20, 10) without a mask of 2^20 bits being built.
+        # Each of the 2^20 sets misses one vertex and the C(20, 10)
+        # 10-subcubes through it: they tie, and none is walked.
         res = brute_force_mq(20, 2**20 - 1, 10, argmax_cap=1)
         assert res.max_count == comb(20, 10) * (2**10 - 1)
         assert res.total_subsets_scanned == 2**20
@@ -287,13 +286,13 @@ class TestBruteForce:
             for n in range(1, 5)
             for k in range(1, 2**n + 1)
             for q in range(n + 1)
-            if q == 0 or k < 2**q
+            if q == 0 or k < 2**q or k >= 2**n - 1
         ],
     )
     def test_uniform_sizes_match_the_walk(self, n, k, q):
-        # Where every k-set holds the same count, at q = 0 and below
-        # k = 2^q, no set is walked; the walk, which is never asked there,
-        # must give the same result in both directions.
+        # Where every k-set holds the same count, at q = 0, below k = 2^q
+        # and from k = 2^n - 1 on, no set is walked; the walk, which is
+        # never asked there, must give the same result in both directions.
         for cap in (0, 1, 2, 3, 4, comb(2**n, k)):
             res = brute_force_mq(n, k, q, argmax_cap=cap)
             got = (res.max_count, list(res.argmax_examples), res.total_subsets_scanned)
@@ -303,17 +302,37 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "n,k,q,down",
         [(5, 24, 1, False), (5, 29, 1, False), (6, 60, 2, False)]
-        + [(4, 12, 1, True), (5, 30, 1, True), (8, 254, 3, True), (16, 65535, 1, True)],
+        + [(4, 12, 1, True), (5, 30, 1, True), (8, 254, 3, True), (9, 510, 2, True)]
+        + [(16, 65535, 1, None)],
     )
     def test_scan_direction(self, n, k, q, down, monkeypatch):
         # No result shows the direction, which both walks agree on, so it
         # is read off the walk the entry starts: upward wherever the split
         # ceiling's floor holds, even past half the cube, and else
-        # downward from 2k > 2^n on.
+        # downward from 2k > 2^n on. A size with one removal starts no
+        # walk (None): its sets tie.
         asked = []
         monkeypatch.setattr("cubeseg.oracle._walk", lambda *args: asked.append(args[4]))
         _scan(n, k, q, 1, {})
-        assert asked == [down]
+        assert asked == ([] if down is None else [down])
+
+    def test_walked_exactly_where_two_sets_differ(self, monkeypatch):
+        # The scan starts a walk for a size exactly when two of its k-sets
+        # differ in count, read off an independent count of the k-sets, in
+        # scan order, until two differ: every (n <= 4, k, q).
+        walked = []
+        monkeypatch.setattr("cubeseg.oracle._walk", lambda *args: walked.append(args[:3]))
+        for n in range(1, 5):
+            for k in range(1, 2**n + 1):
+                for q in range(n + 1):
+                    counts = set()
+                    for combo in combinations(range(2**n), k):
+                        counts.add(oracles.subcube_count(combo, n, q))
+                        if len(counts) > 1:
+                            break
+                    walked.clear()
+                    _scan(n, k, q, 1, {})
+                    assert walked == ([(n, k, q)] if len(counts) > 1 else []), (n, k, q)
 
     def test_no_result_reads_the_formula(self, monkeypatch):
         # The split ceiling takes its (n - 1)-cube maxima from the oracle's
@@ -435,10 +454,9 @@ class TestMaskTable:
         assert len(table.shapes) == comb(12, 2)
         assert used == _TABLE_BYTES - table.room <= _TABLE_BYTES
 
-    def test_one_table_per_scan(self, monkeypatch):
-        # An upward scan that keeps its universe's count reads the masks
-        # it scores with for the universe's upkeep too. The split ceiling's
-        # scans of the 3-cube, at q = 2 and 1, make their own.
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The (n, q) of each mask table made while the test runs."""
         made = []
 
         class Counted(_MaskTable):
@@ -447,14 +465,20 @@ class TestMaskTable:
                 super().__init__(n, q)
 
         monkeypatch.setattr("cubeseg.oracle._MaskTable", Counted)
+        return made
+
+    def test_one_table_per_scan(self, made):
+        # An upward scan that keeps its universe's count reads the masks
+        # it scores with for the universe's upkeep too. The split ceiling's
+        # scans of the 3-cube, at q = 2 and 1, make their own.
         assert brute_force_mq(4, 8, 2).max_count == prefix_hq(8, 2)
         assert made[0] == (4, 2) and made.count((4, 2)) == 1
         assert set(made[1:]) == {(3, 2), (3, 1)}
 
-    def test_a_scan_that_builds_no_mask_makes_no_shape(self):
-        # One removal from the 20-cube scores C(20, 10) without a mask, so
-        # none of the C(20, 10) shapes of up to 2^20 bits, gigabytes in
-        # all, is made; the table's 2^20 empty entries are most of the peak.
+    def test_a_one_removal_scan_makes_no_mask_table(self, made):
+        # The sets with one removal from the 20-cube tie, so none is walked
+        # and no table is made, whose C(20, 10) shapes of up to 2^20 bits
+        # would take gigabytes.
         tracemalloc.start()
         try:
             res = brute_force_mq(20, 2**20 - 1, 10, argmax_cap=0)
@@ -462,6 +486,7 @@ class TestMaskTable:
         finally:
             tracemalloc.stop()
         assert res.max_count == comb(20, 10) * (2**10 - 1)
+        assert made == []
         assert peak < 32 * 2**20
 
 
